@@ -22,9 +22,11 @@
 //
 // Determinism contract: identical to FaultPlan's. Each (round, node)
 // draw comes from its own counter-based stream (common/rng.h
-// stream_seed), so the schedule is a pure function of the plan seed plus
-// the churn state — independent of call order, thread count and every
-// other RNG in the process. plan_round(k) must be called once per
+// stream_seed, drawn through a CellRng), so the schedule is a pure
+// function of the plan seed plus the churn state — independent of call
+// order, thread count and every other RNG in the process. plan_round
+// plans the nodes under runtime::parallel_for; each node reads and
+// writes only its own state. plan_round(k) must be called once per
 // executed round in order (the away/rejoin state advances with it);
 // reset() rewinds to the start of the episode and replays exactly. All
 // knobs default to zero/off, so the honest market is the unchanged
@@ -96,7 +98,8 @@ class AdversaryPlan {
   /// Starts a new episode: clears the churn state and profile versions.
   void reset();
 
-  /// Draws the adversarial events of round `round` for all nodes.
+  /// Draws the adversarial events of round `round` for all nodes, in
+  /// parallel.
   std::vector<AdversaryEvent> plan_round(int round);
 
   /// Nodes with the stable adversarial trait.
@@ -109,13 +112,19 @@ class AdversaryPlan {
   int num_nodes() const { return static_cast<int>(adversarial_.size()); }
 
  private:
-  double factor_for(int node, int version) const;
+  /// The misreport factor of `node` at its current profile version,
+  /// drawn once per (node, version) and cached.
+  double factor_for(std::size_t node);
 
+  // Per-node state. Flags are bytes, not vector<bool>: parallel chunks
+  // write neighbouring nodes, and packed bits would share words.
   AdversaryConfig config_;
-  std::vector<bool> adversarial_;    // stable per-node trait
-  std::vector<int> away_;            // remaining away rounds, per node
-  std::vector<bool> pending_rejoin_; // rejoins at its next planned round
-  std::vector<int> version_;         // profile version, per node
+  std::vector<std::uint8_t> adversarial_;     // stable per-node trait
+  std::vector<int> away_;                     // remaining away rounds
+  std::vector<std::uint8_t> pending_rejoin_;  // rejoins next planned round
+  std::vector<int> version_;                  // profile version
+  std::vector<double> factor_;                // cached misreport factor
+  std::vector<int> factor_version_;           // version factor_ is for
 };
 
 }  // namespace chiron::adversary

@@ -30,7 +30,7 @@ void validate(const DefenseConfig& config) {
 
 bool audit_fires(const DefenseConfig& config, int round, int node) {
   if (config.audit_prob <= 0.0) return false;
-  Rng rng(stream_seed(config.seed ^ kAuditTag, round, node));
+  CellRng rng(stream_seed(config.seed ^ kAuditTag, round, node));
   return rng.bernoulli(config.audit_prob);
 }
 

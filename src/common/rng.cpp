@@ -40,6 +40,68 @@ std::vector<int> Rng::permutation(int n) {
   return p;
 }
 
+namespace {
+
+// std::mt19937_64's parameters ([rand.predef]); the names follow the
+// standard's mersenne_twister_engine template arguments.
+constexpr int kMtN = 312;
+constexpr int kMtM = 156;
+constexpr std::uint64_t kMtA = 0xB5026F5AA96619E9ull;
+constexpr std::uint64_t kMtF = 6364136223846793005ull;
+constexpr std::uint64_t kMtLowerMask = (1ull << 31) - 1;  // r = 31
+constexpr std::uint64_t kMtUpperMask = ~kMtLowerMask;
+
+static_assert(CellEngine::kShort <= kMtN - kMtM,
+              "the short window must stay inside the first twist's "
+              "untouched half");
+
+}  // namespace
+
+CellEngine::CellEngine(std::uint64_t seed) : seed_(seed) {
+  std::uint64_t x = seed;
+  lo_[0] = x;
+  for (int i = 1; i < kMtM + kShort; ++i) {
+    x = kMtF * (x ^ (x >> 62)) + static_cast<std::uint64_t>(i);
+    if (i <= kShort) lo_[i] = x;
+    if (i >= kMtM) hi_[i - kMtM] = x;
+  }
+}
+
+CellEngine::result_type CellEngine::operator()() {
+  if (drawn_ < kShort) {
+    const int j = drawn_++;
+    // First-twist word j, then the standard tempering.
+    const std::uint64_t y =
+        (lo_[j] & kMtUpperMask) | (lo_[j + 1] & kMtLowerMask);
+    std::uint64_t z = hi_[j] ^ (y >> 1) ^ ((y & 1) ? kMtA : 0);
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    z ^= z >> 43;
+    return z;
+  }
+  if (!full_) {
+    full_.emplace(seed_);
+    full_->discard(kShort);
+  }
+  return (*full_)();
+}
+
+double CellRng::uniform(double lo, double hi) {
+  std::uniform_real_distribution<double> d(lo, hi);
+  return d(engine_);
+}
+
+int CellRng::randint(int lo, int hi) {
+  std::uniform_int_distribution<int> d(lo, hi);
+  return d(engine_);
+}
+
+bool CellRng::bernoulli(double p) {
+  std::bernoulli_distribution d(p);
+  return d(engine_);
+}
+
 std::uint64_t splitmix64(std::uint64_t z) {
   z += 0x9E3779B97F4A7C15ull;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;

@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/round_log.h"
 #include "obs/span.h"
+#include "runtime/parallel.h"
 #include "runtime/pipeline.h"
 
 namespace chiron::core {
@@ -18,6 +19,9 @@ namespace {
 /// Stream tag for churn rejoin profile resampling — disjoint from every
 /// AdversaryPlan/FaultPlan/defense stream.
 constexpr std::uint64_t kChurnDeviceTag = 0x5BD1E995u;
+
+/// Delivered uploads per parallel chunk of audit draws.
+constexpr std::int64_t kAuditGrain = 2048;
 
 // Environment metric ids, registered once (thread-safe magic static).
 struct EnvMetricIds {
@@ -175,6 +179,7 @@ std::vector<float> EdgeLearnEnv::reset() {
   reputation_->reset();
   total_clawed_back_ = 0.0;
   forfeited_total_ = 0.0;
+  spent_total_ = 0.0;
   escrow_outstanding_ = 0.0;
   // Churn mutates device profiles mid-episode; every episode replays the
   // same fixed market (the population the mechanism learns about).
@@ -320,7 +325,7 @@ EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_honest(
   // commit. Settle returns whatever honest non-delivery releases (on this
   // fault-free path: nothing — every promise is honored).
   budget_remaining_ -= c.promised.total_payment;
-  escrow_outstanding_ = c.promised.total_payment;
+  escrow_outstanding_ += c.promised.total_payment;
   ++round_;
 
   for (std::size_t i = 0; i < c.promised.nodes.size(); ++i) {
@@ -375,7 +380,7 @@ EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_faulty(
   // Escrow debit of the full promised total; settle returns the
   // honest-undelivered part (crashes/stragglers release their escrow).
   budget_remaining_ -= c.promised.total_payment;
-  escrow_outstanding_ = c.promised.total_payment;
+  escrow_outstanding_ += c.promised.total_payment;
   ++round_;
 
   // Per-participant delivery outlook. A crash wins over lateness (the
@@ -491,7 +496,7 @@ EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_adversarial(
   // honest non-delivery but routes audit-forfeited payments to the
   // non-spendable ledger — they never refill the budget.
   budget_remaining_ -= c.promised.total_payment;
-  escrow_outstanding_ = c.promised.total_payment;
+  escrow_outstanding_ += c.promised.total_payment;
   ++round_;
 
   // Delivery outlook: faults as on the faulty path, plus free-rides. A
@@ -522,9 +527,23 @@ EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_adversarial(
   return c;
 }
 
+void EdgeLearnEnv::check_money_invariants() const {
+  const double eta = config_.budget;
+  const double drift =
+      budget_remaining_ + spent_total_ + forfeited_total_ - eta;
+  CHIRON_CHECK_MSG(std::abs(drift) <= 1e-9 * std::abs(eta),
+                   "budget ledger drifted by " << drift << ": remaining "
+                       << budget_remaining_ << " + spent " << spent_total_
+                       << " + forfeited " << forfeited_total_
+                       << " != budget " << eta);
+  CHIRON_CHECK_MSG(escrow_outstanding_ == 0.0,
+                   "escrow outstanding after settle: " << escrow_outstanding_);
+}
+
 EdgeLearnEnv::PendingRound EdgeLearnEnv::settle_round(
     CommitOut c, const fl::TolerantRoundReport& rep, bool eval_pending) {
   StepResult& res = c.res;
+  const double escrow = c.promised.total_payment;  // debited at commit
   if (c.path == StepPath::kHonest) {
     res.outcome = std::move(c.promised);
     res.participants = res.outcome.participants;
@@ -543,13 +562,28 @@ EdgeLearnEnv::PendingRound EdgeLearnEnv::settle_round(
       // and catches a free-ride (always unambiguous — the upload is a
       // byte-copy of the model the server handed out) or a cost report
       // inflated beyond the tolerance. A flagged payment is forfeited —
-      // it left the budget at commit and never comes back.
+      // it left the budget at commit and never comes back. The audit
+      // draws are independent cells, so they are made in parallel; the
+      // payment loop below stays serial so its sums keep their order.
+      std::vector<std::uint8_t> audited(c.participants.size(), 0);
+      if (config_.defense.audit_prob > 0.0) {
+        runtime::parallel_for(
+            0, static_cast<std::int64_t>(c.participants.size()),
+            [&](std::int64_t lo, std::int64_t hi) {
+              for (std::int64_t s = lo; s < hi; ++s) {
+                const std::size_t k = static_cast<std::size_t>(s);
+                if (rep.status[k] != fl::DeliveryStatus::kDelivered) continue;
+                audited[k] = adversary::audit_fires(
+                    config_.defense, c.planned_round, c.participants[k]);
+              }
+            },
+            kAuditGrain);
+      }
       for (std::size_t s = 0; s < c.participants.size(); ++s) {
         const std::size_t i = static_cast<std::size_t>(c.participants[s]);
         if (rep.status[s] != fl::DeliveryStatus::kDelivered) continue;
         bool pay = true;
-        if (adversary::audit_fires(config_.defense, c.planned_round,
-                                   c.participants[s])) {
+        if (audited[s]) {
           const bool caught =
               c.adv[i].freeride ||
               c.adv[i].misreport_factor >= config_.defense.audit_tolerance;
@@ -595,7 +629,9 @@ EdgeLearnEnv::PendingRound EdgeLearnEnv::settle_round(
     budget_remaining_ -= res.clawed_back;
     forfeited_total_ += res.clawed_back;
   }
-  escrow_outstanding_ = 0.0;
+  escrow_outstanding_ -= escrow;  // exactly the commit's debit
+  spent_total_ += res.outcome.total_payment;
+  check_money_invariants();
   res.forfeited_total = forfeited_total_;
 
   res.round_time = res.outcome.round_time;

@@ -319,6 +319,11 @@ class EdgeLearnEnv {
   PendingRound settle_round(CommitOut c, const fl::TolerantRoundReport& rep,
                             bool eval_pending);
 
+  /// The money invariants every settled round must leave behind:
+  /// budget_remaining + Σ payments + forfeited_total == η (to 1e-9·η)
+  /// and no escrow outstanding. O(1); throws InvariantError on breach.
+  void check_money_invariants() const;
+
   /// Finalize phase: consumes pending_ (whose accuracy must be final),
   /// computes the accuracy gain and rewards, and emits metrics + the
   /// round record from the captured settle-time values.
@@ -367,6 +372,7 @@ class EdgeLearnEnv {
   double last_accuracy_ = 0.0;
   double total_clawed_back_ = 0.0;  // cumulative audited clawbacks (episode)
   double forfeited_total_ = 0.0;    // non-spendable forfeited ledger (episode)
+  double spent_total_ = 0.0;        // Σ realized payments (episode)
   double escrow_outstanding_ = 0.0;  // committed, unsettled promised payment
   // History ring (most recent last), each entry = one round's profile.
   struct RoundProfile {

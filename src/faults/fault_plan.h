@@ -13,9 +13,12 @@
 //
 // Determinism contract: each (round, node) event is a pure function of
 // the plan seed plus the persistent-outage state, generated from its own
-// counter-based stream — independent of call order, thread count and
-// every other RNG in the process. All probabilities default to zero, so
-// the paper model is the unchanged default.
+// counter-based stream (a CellRng, common/rng.h) — independent of call
+// order, thread count and every other RNG in the process. plan_round
+// plans the nodes under runtime::parallel_for: a node's event and
+// outage state read only its own cell and its own state, so the result
+// is the same at every thread count. All probabilities default to zero,
+// so the paper model is the unchanged default.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +79,7 @@ class FaultPlan {
   /// episode after reset() reproduces it exactly.
   void reset();
 
-  /// Draws the fault events of round `round` for all nodes.
+  /// Draws the fault events of round `round` for all nodes, in parallel.
   std::vector<FaultEvent> plan_round(int round);
 
   /// Nodes currently in a persistent outage.
@@ -87,7 +90,9 @@ class FaultPlan {
 
  private:
   FaultConfig config_;
-  std::vector<bool> down_;  // persistent-outage state, per node
+  // Persistent-outage state, per node. Bytes, not vector<bool>: parallel
+  // chunks write neighbouring nodes, and packed bits would share words.
+  std::vector<std::uint8_t> down_;
 };
 
 /// Damages a flat parameter vector in place according to the corruption

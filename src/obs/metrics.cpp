@@ -90,11 +90,15 @@ void MetricsRegistry::observe(int histogram_id, double v) {
   Shard& s = local_shard();
   const std::size_t id = static_cast<std::size_t>(histogram_id);
   if (id >= s.hists.size()) s.hists.resize(id + 1);
-  const std::vector<double>& bounds = hist_bounds(histogram_id);
   HistShard& h = s.hists[id];
-  if (h.buckets.empty()) h.buckets.assign(bounds.size() + 1, 0);
+  if (h.buckets.empty()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    h.bounds = hist_bounds_[id];
+    h.buckets.assign(h.bounds.size() + 1, 0);
+  }
   const std::size_t b = static_cast<std::size_t>(
-      std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+      std::lower_bound(h.bounds.begin(), h.bounds.end(), v) -
+      h.bounds.begin());
   ++h.buckets[b];
   if (h.count == 0) {
     h.min = v;

@@ -15,9 +15,10 @@
 //   3. Disabled must be ~free: every record call starts with one relaxed
 //      bool test, so compiling observability in costs nothing when off.
 //
-// Threading protocol (mirrors runtime::set_threads): registration,
-// set_enabled, snapshot and reset are serial-section operations — call
-// them while no parallel work is in flight. Recording may happen on any
+// Threading protocol (mirrors runtime::set_threads): set_enabled,
+// snapshot and reset are serial-section operations — call them while no
+// parallel work is in flight. Registration takes the registry mutex and
+// may run while other threads record. Recording may happen on any
 // thread; the join at the end of every parallel_for provides the
 // happens-before edge that makes a subsequent snapshot race-free.
 #pragma once
@@ -103,6 +104,10 @@ class MetricsRegistry {
 
  private:
   struct HistShard {
+    // The histogram's bounds, copied from hist_bounds_ under mu_ on this
+    // shard's first observe: hist_bounds_ may reallocate while another
+    // thread registers a histogram, so the hot path never reads it.
+    std::vector<double> bounds;
     std::vector<std::uint64_t> buckets;
     std::uint64_t count = 0;
     double sum = 0.0;
@@ -117,9 +122,6 @@ class MetricsRegistry {
   };
 
   Shard& local_shard();
-  const std::vector<double>& hist_bounds(int id) const {
-    return hist_bounds_[static_cast<std::size_t>(id)];
-  }
 
   const std::uint64_t uid_;  // process-unique; keys the thread-local cache
   bool enabled_ = false;

@@ -4,7 +4,10 @@
 
 #include <vector>
 
+#include "adversary/defense.h"
 #include "common/error.h"
+#include "runtime/runtime.h"
+#include "test_util.h"
 
 namespace chiron::adversary {
 namespace {
@@ -201,6 +204,61 @@ TEST(AdversaryPlan, RoundDrawsAreCounterBased) {
   const auto eb = b.plan_round(10);  // b jumps straight to round 10
   for (std::size_t i = 0; i < ea.size(); ++i)
     EXPECT_EQ(ea[i].freeride, eb[i].freeride);
+}
+
+struct PlanHashes {
+  std::uint64_t schedule = 0;
+  std::uint64_t audits = 0;
+  int adversarial = 0;
+  int away = 0;
+};
+
+// Hashes 40 planned rounds at N = 20k with every knob on (churn bumps
+// profile versions, so misreport factors are redrawn) plus away_count()
+// after each round, and the audit draws of the same cells.
+PlanHashes plan_hashes(int threads) {
+  runtime::set_threads(threads);
+  AdversaryConfig c;
+  c.fraction = 0.3;
+  c.misreport_factor = 2.0;
+  c.freeride_prob = 0.3;
+  c.churn_prob = 0.05;
+  c.seed = 77;
+  DefenseConfig d;
+  d.audit_prob = 0.1;
+  d.seed = 55;
+  constexpr int kNodes = 20000;
+  AdversaryPlan plan(c, kNodes);
+  testing_util::Fnv1a schedule;
+  testing_util::Fnv1a audits;
+  for (int k = 0; k < 40; ++k) {
+    for (const AdversaryEvent& e : plan.plan_round(k)) {
+      schedule.add(std::uint64_t{e.adversarial});
+      schedule.add(e.misreport_factor);
+      schedule.add(std::uint64_t{e.freeride});
+      schedule.add(std::uint64_t{e.away});
+      schedule.add(std::uint64_t{e.rejoined});
+      schedule.add(static_cast<std::uint64_t>(e.profile_version));
+    }
+    schedule.add(static_cast<std::uint64_t>(plan.away_count()));
+    for (int i = 0; i < kNodes; ++i)
+      audits.add(std::uint64_t{audit_fires(d, k, i)});
+  }
+  runtime::set_threads(0);
+  return {schedule.h, audits.h, plan.adversarial_count(), plan.away_count()};
+}
+
+TEST(AdversaryPlan, ParallelScheduleMatchesKnownAnswer) {
+  // The same schedule at 1 and 8 threads, equal to the hashes the
+  // full-engine (std::mt19937_64 per cell), serial planner produced: the
+  // schedule can never drift silently.
+  for (int threads : {1, 8}) {
+    const PlanHashes h = plan_hashes(threads);
+    EXPECT_EQ(h.schedule, 0xd2a82ed90faff069ull) << threads << " threads";
+    EXPECT_EQ(h.audits, 0xcbc8995bd5fab065ull) << threads << " threads";
+    EXPECT_EQ(h.adversarial, 5964);
+    EXPECT_EQ(h.away, 3376);
+  }
 }
 
 TEST(AdversaryPlan, InvalidConfigsThrow) {

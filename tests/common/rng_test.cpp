@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 
 namespace chiron {
@@ -149,6 +150,59 @@ TEST(Rng, ShuffleKeepsElements) {
   rng.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
+}
+
+// CellEngine must reproduce std::mt19937_64 exactly: the plans' schedules
+// were recorded with the full engine. Draws 0–7 come from the short
+// window, 8 and later from the fallback engine, so 40 draws cover both
+// and the hand-over between them.
+TEST(CellEngine, MatchesMt19937_64OnManySeeds) {
+  for (std::uint64_t k = 0; k < 10000; ++k) {
+    const std::uint64_t seed =
+        k < 8 ? k : stream_seed(k, static_cast<int>(k % 97),
+                                static_cast<int>(k));
+    std::mt19937_64 ref(seed);
+    CellEngine cell(seed);
+    for (int j = 0; j < 40; ++j)
+      ASSERT_EQ(cell(), ref()) << "seed " << seed << " draw " << j;
+  }
+}
+
+TEST(CellEngine, EveryPrefixLengthMatches) {
+  // A stream abandoned after any number of draws (0 included) must agree
+  // with the full engine on the draws it made.
+  const std::uint64_t seed = stream_seed(3, 1, 4);
+  for (int len = 0; len <= 40; ++len) {
+    std::mt19937_64 ref(seed);
+    CellEngine cell(seed);
+    for (int j = 0; j < len; ++j) ASSERT_EQ(cell(), ref());
+  }
+}
+
+TEST(CellRng, DistributionsMatchRng) {
+  // uniform, randint and bernoulli only see the engine's output
+  // sequence, so CellRng and Rng agree bit for bit — also deep into the
+  // stream, past the short window.
+  for (int k = 0; k < 10000; ++k) {
+    const std::uint64_t seed = stream_seed(17, k / 100, k % 100);
+    Rng ref(seed);
+    CellRng cell(seed);
+    for (int j = 0; j < 6; ++j) {
+      ASSERT_EQ(cell.bernoulli(0.3), ref.bernoulli(0.3)) << "seed " << seed;
+      ASSERT_EQ(cell.uniform(1.5, 4.0), ref.uniform(1.5, 4.0));
+      ASSERT_EQ(cell.randint(2, 6), ref.randint(2, 6));
+      // A range that is not a power of two forces occasional rejection.
+      ASSERT_EQ(cell.randint(0, 1500000000), ref.randint(0, 1500000000));
+    }
+  }
+}
+
+TEST(CellRng, EdgeProbabilitiesAreExact) {
+  for (int k = 0; k < 1000; ++k) {
+    CellRng rng(stream_seed(5, 0, k));
+    EXPECT_FALSE(rng.bernoulli(0.0));
+    EXPECT_TRUE(rng.bernoulli(1.0));
+  }
 }
 
 }  // namespace

@@ -8,13 +8,12 @@
 #include "common/error.h"
 #include "core/mechanism.h"
 #include "nn/serialize.h"
+#include "test_util.h"
 
 namespace chiron::core {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testing_util::temp_path;
 
 EnvConfig small_env() {
   EnvConfig c;

@@ -11,6 +11,7 @@
 #include "nn/activations.h"
 #include "nn/linear.h"
 #include "nn/models.h"
+#include "test_util.h"
 
 namespace chiron::nn {
 namespace {
@@ -117,7 +118,7 @@ TEST(WeightedAverage, RejectsNonFiniteWeights) {
 class CheckpointFile : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "serialize_checkpoint_test.bin";
+    path_ = testing_util::temp_path("checkpoint.bin");
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

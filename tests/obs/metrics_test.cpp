@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "runtime/parallel.h"
 #include "runtime/runtime.h"
@@ -139,6 +141,55 @@ TEST(MetricsRegistry, ParallelMergeIsThreadCountInvariant) {
   EXPECT_EQ(ha.sum, hb.sum);  // bit-identical, not just close
   EXPECT_EQ(ha.min, hb.min);
   EXPECT_EQ(ha.max, hb.max);
+}
+
+TEST(MetricsRegistry, RegisteringWhileObservingIsRaceFree) {
+  // Registration grows the registry's bounds table while other threads
+  // observe — both an already-seen histogram and ones they register
+  // mid-run. Run under TSan (tools/check_tsan.sh) this is the race check;
+  // here it checks that no observation is lost or misbucketed.
+  MetricsRegistry reg;
+  reg.set_enabled(true);
+  const int h = reg.histogram("observed", {0.0, 1.0, 2.0});
+  constexpr int kObservers = 3;
+  constexpr int kObservations = 20000;
+  constexpr int kRegistrations = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kObservers; ++t) {
+    threads.emplace_back([&reg, h, t] {
+      for (int i = 0; i < kObservations; ++i) {
+        reg.observe(h, static_cast<double>(i % 4));
+        if (i % 100 == 0) {
+          const int fresh = reg.histogram(
+              "obs." + std::to_string(t) + "." + std::to_string(i), {5.0});
+          reg.observe(fresh, 7.0);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&reg] {
+    for (int i = 0; i < kRegistrations; ++i)
+      reg.histogram("reg." + std::to_string(i), {0.5, 1.5});
+  });
+  for (std::thread& t : threads) t.join();
+
+  const MetricsSnapshot s = reg.snapshot();
+  ASSERT_EQ(s.histograms.size(),
+            1u + kRegistrations + kObservers * (kObservations / 100));
+  for (const HistogramSnapshot& hs : s.histograms) {
+    if (hs.name == "observed") {
+      EXPECT_EQ(hs.count, std::uint64_t{kObservers} * kObservations);
+      const std::uint64_t quarter = kObservers * kObservations / 4;
+      EXPECT_EQ(hs.buckets,
+                (std::vector<std::uint64_t>{quarter, quarter, quarter,
+                                            quarter}));
+    } else if (hs.name.rfind("obs.", 0) == 0) {
+      EXPECT_EQ(hs.count, 1u);
+      EXPECT_EQ(hs.buckets, (std::vector<std::uint64_t>{0, 1}));
+    } else {
+      EXPECT_EQ(hs.count, 0u);
+    }
+  }
 }
 
 TEST(MetricsRegistry, WriteJsonEmitsSortedGroups) {

@@ -10,6 +10,7 @@
 
 #include "core/env.h"
 #include "runtime/runtime.h"
+#include "test_util.h"
 
 namespace chiron::obs {
 namespace {
@@ -109,7 +110,7 @@ TEST(CsvRoundSink, QuotesListCellsAndWritesHeaderOnce) {
 }
 
 TEST(MakeRoundSink, DispatchesOnExtension) {
-  const std::string base = ::testing::TempDir() + "chiron_round_log_test";
+  const std::string base = testing_util::temp_path("round_log");
   const std::string csv_path = base + ".csv";
   const std::string jsonl_path = base + ".jsonl";
   make_round_sink(csv_path)->write(sample_record());

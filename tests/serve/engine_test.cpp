@@ -12,13 +12,12 @@
 #include "core/env.h"
 #include "core/mechanism.h"
 #include "nn/serialize.h"
+#include "test_util.h"
 
 namespace chiron::serve {
 namespace {
 
-std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + name;
-}
+using testing_util::temp_path;
 
 core::EnvConfig small_env() {
   core::EnvConfig c;

@@ -23,6 +23,7 @@
 #include "common/error.h"
 #include "lint/config.h"
 #include "lint/out.h"
+#include "test_util.h"
 
 namespace {
 
@@ -400,8 +401,8 @@ TEST(LintBaseline, MangledBaselineIsAnInvariantError) {
 }
 
 TEST(LintBaseline, BinaryGatesOnNewFindingsOnly) {
-  const auto base =
-      std::filesystem::path(::testing::TempDir()) / "chiron_lint_base.json";
+  const std::filesystem::path base =
+      chiron::testing_util::temp_path("lint_base.json");
   std::string cmd = std::string(CHIRON_LINT_BIN) + " '" +
                     fixture("").string() + "' --write-baseline '" +
                     base.string() + "' >/dev/null 2>&1";
@@ -436,8 +437,8 @@ TEST(LintBinary, MissingPathIsAUsageError) {
 TEST(LintBinary, BinaryInputIsANamedUsageError) {
   // A NUL byte marks the file as non-source; linting it must fail loudly
   // (exit 2 with a named error), never report a silent zero findings.
-  const auto p =
-      std::filesystem::path(::testing::TempDir()) / "chiron_lint_bin.cpp";
+  const std::filesystem::path p =
+      chiron::testing_util::temp_path("lint_bin.cpp");
   {
     std::ofstream out(p, std::ios::binary);
     out << "int x;\0garbage" << std::string(1, '\0') << "more";

@@ -2,7 +2,8 @@
 # Builds the tree with ThreadSanitizer (CHIRON_SANITIZE=thread) and runs
 # the suites that exercise the parallel runtime: the runtime unit tests,
 # the federated-learning tests (parallel rounds + sharded evaluation),
-# fault injection and the tensor kernels.
+# fault injection and the adversary plans (both planned in parallel),
+# the metrics registry and the tensor kernels.
 #
 # Usage: tools/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -18,5 +19,6 @@ export CHIRON_THREADS="${CHIRON_THREADS:-8}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 
 chiron_sanitizer_check thread "$BUILD_DIR" \
-  test_runtime test_fl test_faults test_tensor
-echo "check_tsan: OK (runtime, fl, faults and tensor suites are TSan-clean)"
+  test_runtime test_fl test_faults test_adversary test_obs test_tensor
+echo "check_tsan: OK (runtime, fl, faults, adversary, obs and tensor suites" \
+  "are TSan-clean)"

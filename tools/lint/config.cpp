@@ -187,7 +187,7 @@ const Config& default_config() {
     // Mirrors tools/lint/layers.toml — the ConfigMatchesShippedToml test
     // pins the two against each other.
     cfg.layers = {
-        {"common", 0},  {"runtime", 1},  {"obs", 1},      {"faults", 1},
+        {"common", 0},  {"runtime", 1},  {"obs", 1},      {"faults", 2},
         {"tensor", 2},  {"sysmodel", 2}, {"data", 3},     {"nn", 3},
         {"fl", 4},      {"rl", 4},       {"adversary", 4}, {"core", 5},
         {"baselines", 6}, {"serve", 6},  {"lint", 7},
