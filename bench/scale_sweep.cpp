@@ -182,25 +182,65 @@ BENCHMARK(BM_FedRoundScaled)
 // Full environment step at 100k nodes (surrogate backend): economics
 // plane, budget/payment accounting, history ring and state assembly —
 // the end-to-end per-round cost a mechanism run pays at this scale.
-static void BM_EnvStep100k(benchmark::State& state) {
+// BM_EnvStep100k splits a 5e8-bit corpus across the nodes, which leaves
+// every node below its reserve (no participants: pricing and accounting
+// only). The Market pair keeps the default per-node shard, so most nodes
+// join; its Strategic twin adds perfbench's market_strategic knobs
+// (crash, straggler, misreport, free-ride, churn, audit, reputation), and
+// the ratio of the two is the price of the fault and adversary rounds.
+static void run_env_step(benchmark::State& state, double data_bits,
+                         bool strategic) {
   const int n = static_cast<int>(state.range(0));
   core::EnvConfig cfg;
   cfg.num_nodes = n;
   cfg.budget = 1e12;
   cfg.max_rounds = 1 << 30;
   cfg.backend = core::BackendKind::kSurrogate;
-  cfg.data_bits_per_node = 5e8 / static_cast<double>(n);
+  cfg.data_bits_per_node = data_bits;
+  if (strategic) {
+    cfg.faults.crash_prob = 0.05;
+    cfg.faults.straggler_prob = 0.1;
+    cfg.faults.seed = 7920;
+    cfg.adversary.fraction = 0.2;
+    cfg.adversary.misreport_factor = 2.0;
+    cfg.adversary.freeride_prob = 0.3;
+    cfg.adversary.churn_prob = 0.01;
+    cfg.adversary.seed = 104730;
+    cfg.defense.audit_prob = 0.1;
+    cfg.defense.reputation_alpha = 0.2;
+    cfg.defense.seed = 1299710;
+  }
   core::EdgeLearnEnv env(cfg);
   env.reset();
   std::vector<double> prices(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     prices[static_cast<std::size_t>(i)] = 0.5 * env.per_node_price_cap(i);
+  double participants = 0.0;
   for (auto _ : state) {
     auto res = env.step(prices);
+    participants += res.participants;
     benchmark::DoNotOptimize(res.accuracy);
   }
+  state.counters["participants"] = benchmark::Counter(
+      participants / static_cast<double>(state.iterations()));
   set_nodes_per_sec(state, n);
 }
+
+static void BM_EnvStep100k(benchmark::State& state) {
+  run_env_step(state, 5e8 / static_cast<double>(state.range(0)), false);
+}
 BENCHMARK(BM_EnvStep100k)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+static void BM_EnvStep100kMarket(benchmark::State& state) {
+  run_env_step(state, core::EnvConfig{}.data_bits_per_node, false);
+}
+BENCHMARK(BM_EnvStep100kMarket)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+static void BM_EnvStep100kStrategic(benchmark::State& state) {
+  run_env_step(state, core::EnvConfig{}.data_bits_per_node, true);
+}
+BENCHMARK(BM_EnvStep100kStrategic)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

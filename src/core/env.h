@@ -62,14 +62,12 @@ struct EnvConfig {
 
   /// Mid-round fault injection (crash / straggler / corrupt-upload, see
   /// src/faults). All probabilities default to zero = the paper model.
-  /// When any is non-zero the round runs the fault-tolerant pipeline:
-  /// pay-on-delivery (crashed/late/rejected nodes earn nothing and don't
-  /// drain η), realized times, and StepResult delivery counts.
+  /// Every round pays on delivery: crashed/late/rejected nodes earn
+  /// nothing and don't drain η, and round times are the realized ones.
   faults::FaultConfig faults;
   /// Server round deadline in seconds; uploads arriving later are
-  /// discarded (their nodes unpaid). 0 = no deadline (paper model). A
-  /// deadline alone also engages the fault-tolerant pipeline — naturally
-  /// slow nodes can miss it even without injected stragglers.
+  /// discarded (their nodes unpaid). 0 = no deadline (paper model).
+  /// Naturally slow nodes can miss it even without injected stragglers.
   double round_deadline = 0.0;
   /// L2 norm bound of the server's upload validation (real backends);
   /// <= 0 keeps only the all-finite check.
@@ -77,9 +75,8 @@ struct EnvConfig {
 
   /// Strategic node behavior (cost misreporting, free-riding, churn; see
   /// src/adversary). All knobs default to zero/off = the honest market.
-  /// When the adversary or any defense is active the round runs the
-  /// adversarial pipeline (step_adversarial), a superset of the
-  /// fault-tolerant one.
+  /// When the adversary or any defense is active every round draws an
+  /// adversary schedule on top of the fault-tolerant round.
   adversary::AdversaryConfig adversary;
   /// Mechanism-side defenses (reserve-price screening, delivered-accuracy
   /// audits with clawback, reputation-weighted aggregation). All off by
@@ -124,7 +121,7 @@ struct EnvConfig {
 /// every other field at its zero default (no payment, no participants, no
 /// offline count, empty `outcome`). The discarded round never happened
 /// economically, so nothing about it may leak into metrics or histories;
-/// env_test.cpp pins this for both the fault-free and faulty paths.
+/// env_test.cpp pins this for fault-free and faulty configurations.
 struct StepResult {
   bool done = false;
   bool aborted = false;        // payment would overdraw: round discarded
@@ -141,8 +138,9 @@ struct StepResult {
   int participants = 0;
   int offline = 0;                 // nodes unavailable this round (includes
                                    // persistent fault outages)
-  // Fault-tolerant pipeline: realized delivery of this round. With no
-  // faults configured every participant delivers.
+  // Realized delivery of this round, as the backend reported it. With no
+  // faults configured every participant delivers unless the server's
+  // upload validation rejects it.
   int delivered = 0;               // uploads aggregated (and paid)
   int crashed = 0;                 // mid-round crashes: upload never arrived
   int late = 0;                    // missed the round deadline
@@ -257,25 +255,17 @@ class EdgeLearnEnv {
   std::vector<double> equal_time_proportions(double total_price) const;
 
  private:
-  /// Which round pipeline a committed round runs on; decided once per
-  /// step from the config, exactly as the old step dispatch did.
-  enum class StepPath { kHonest, kFaulty, kAdversarial };
-
-  /// Everything the commit phase hands to the train and settle phases:
-  /// the partially filled result (offline/screening/churn counts), the
-  /// promised market, and the training inputs derived from it. On an
-  /// overdraw `aborted` is set and nothing was debited.
+  /// Everything the commit phase hands to the train and settle phases
+  /// besides the per-node columns the env reuses across rounds (batch_,
+  /// participants_, weights_, delivery_ and the schedules): the partially
+  /// filled result (offline/screening/churn counts) and the promised
+  /// market's aggregates. On an overdraw `aborted` is set and nothing was
+  /// debited.
   struct CommitOut {
-    StepPath path = StepPath::kHonest;
     bool aborted = false;
     StepResult res;
     std::vector<double> effective_prices;
-    sysmodel::RoundOutcome promised;
-    std::vector<int> participants;
-    std::vector<double> weights;
-    std::vector<fl::RoundDelivery> delivery;
-    std::vector<double> realized_times;
-    std::vector<adversary::AdversaryEvent> adv;  // adversarial path only
+    sysmodel::RoundAggregates promised;  // its total_payment is the escrow
     int planned_round = 0;   // round index the schedules were drawn for
     double p_posted = 0.0;   // Σ raw posted prices (the exterior action)
     double budget_checkpoint = 0.0;  // budget before the escrow debit
@@ -302,20 +292,21 @@ class EdgeLearnEnv {
     int round = 0;
   };
 
-  /// Commit phase: draws this round's schedules, runs the (promised)
-  /// market, applies the overdraw-abort rule against the settled budget,
-  /// debits the promised total into escrow and derives the training
-  /// inputs. Dispatches on the same condition ladder step() always had.
+  /// Commit phase (DESIGN.md §5.11): draws this round's schedules (each
+  /// empty while its knobs are off), rejoins churned nodes, silences
+  /// away/down/unavailable nodes, screens, runs the promised market on the
+  /// economics plane, applies the overdraw-abort rule against the settled
+  /// budget, debits the promised total into escrow and fills the training
+  /// inputs. The honest round is the case with no schedules.
   CommitOut commit_round(const std::vector<double>& prices);
-  CommitOut commit_honest(const std::vector<double>& prices);
-  CommitOut commit_faulty(const std::vector<double>& prices);
-  CommitOut commit_adversarial(const std::vector<double>& prices);
 
-  /// Settle phase: resolves pay-on-delivery (and audits/reputation on the
-  /// adversarial path), re-settles the budget from the commit checkpoint
-  /// (realized + forfeited leave; honest-undelivered escrow returns),
-  /// pushes history and decides `done`. Returns the pending round; its
-  /// accuracy is final iff eval_pending is false.
+  /// Settle phase: pay-on-delivery realized in place on batch_ (realized
+  /// times, unpaid and audit-forfeited payments zeroed, reputation
+  /// updates), the realized aggregates on the plane's reduction schedule,
+  /// the budget re-settled from the commit checkpoint (realized and
+  /// forfeited leave; undelivered escrow returns), history and `done`.
+  /// Returns the pending round; its accuracy is final iff eval_pending is
+  /// false.
   PendingRound settle_round(CommitOut c, const fl::TolerantRoundReport& rep,
                             bool eval_pending);
 
@@ -329,9 +320,9 @@ class EdgeLearnEnv {
   /// round record from the captured settle-time values.
   StepResult finalize_pending();
 
-  /// True when step() routes rounds through the adversarial commit; also
-  /// gates the adversary fields of the round log (zero-knob runs keep
-  /// emitting byte-identical records).
+  /// True when rounds draw an adversary schedule; also gates the
+  /// adversary fields of the round log (zero-knob runs keep emitting
+  /// byte-identical records).
   bool adversary_active() const {
     return config_.adversary.any() || config_.defense.any();
   }
@@ -351,10 +342,20 @@ class EdgeLearnEnv {
   /// Profiles as sampled at construction; reset() restores them so churn
   /// resamples from an identical market every episode.
   std::vector<sysmodel::DeviceProfile> base_devices_;
-  /// SoA economics plane over devices_ (honest + faulty promised market;
-  /// DESIGN.md §5.12) and its reusable per-round decision scratch.
+  /// SoA economics plane over devices_ (DESIGN.md §5.12) and the round's
+  /// per-node decisions, promised at commit and realized in place at
+  /// settle. Reused across rounds, like every per-round column below.
   std::unique_ptr<sysmodel::EconomicsPlane> plane_;
   sysmodel::DecisionBatch batch_;
+  /// This round's schedules; empty while their knobs are off.
+  std::vector<adversary::AdversaryEvent> adv_;
+  std::vector<faults::FaultEvent> faults_;
+  std::vector<std::uint8_t> unavailable_;  // availability draws, if < 1
+  /// Training inputs, aligned with each other: participating node ids in
+  /// ascending order, their aggregation weights and delivery outlooks.
+  std::vector<int> participants_;
+  std::vector<double> weights_;
+  std::vector<fl::RoundDelivery> delivery_;
   std::unique_ptr<AccuracyBackend> backend_;
   std::unique_ptr<faults::FaultPlan> fault_plan_;
   std::unique_ptr<adversary::AdversaryPlan> adversary_plan_;
@@ -374,7 +375,9 @@ class EdgeLearnEnv {
   double forfeited_total_ = 0.0;    // non-spendable forfeited ledger (episode)
   double spent_total_ = 0.0;        // Σ realized payments (episode)
   double escrow_outstanding_ = 0.0;  // committed, unsettled promised payment
-  // History ring (most recent last), each entry = one round's profile.
+  // History (most recent last, at most config_.history entries), each
+  // entry = one round's profile. A full history rotates its oldest entry
+  // to the back and refills it, reusing its storage.
   struct RoundProfile {
     std::vector<double> zeta;
     std::vector<double> price;

@@ -60,24 +60,40 @@ void EconomicsPlane::rebuild(const std::vector<DeviceProfile>& devices) {
   zeta_max_.resize(n);
   comm_time_.resize(n);
   reserve_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const DeviceProfile& d = devices[i];
-    // Same association as economics.cpp's energy_coeff: ((sigma*alpha)*c)*d.
-    const double coeff = static_cast<double>(local_epochs_) * d.capacitance *
-                         d.cycles_per_bit * d.data_bits;
-    const double k2 = 2.0 * coeff;
-    CHIRON_CHECK_MSG(k2 > 0.0, "device " << i << " has zero energy coeff");
-    coeff_[i] = coeff;
-    k2_[i] = k2;
-    // Eqn (6) numerator, associated as ((sigma*c)*d) like best_response.
-    t_num_[i] = static_cast<double>(local_epochs_) * d.cycles_per_bit *
-                d.data_bits;
-    e_com_[i] = d.comm_energy_rate * d.comm_time;
-    zeta_min_[i] = d.zeta_min;
-    zeta_max_[i] = d.zeta_max;
-    comm_time_[i] = d.comm_time;
-    reserve_[i] = d.reserve_utility;
-  }
+  misreport_.assign(n, 1.0);
+  for (std::size_t i = 0; i < n; ++i) set_node(i, devices[i]);
+}
+
+void EconomicsPlane::refresh(std::size_t i, const DeviceProfile& device) {
+  CHIRON_CHECK_MSG(i < num_nodes(),
+                   "node " << i << " vs plane " << num_nodes());
+  set_node(i, device);
+}
+
+void EconomicsPlane::set_node(std::size_t i, const DeviceProfile& d) {
+  // Same association as economics.cpp's energy_coeff: ((sigma*alpha)*c)*d.
+  const double coeff = static_cast<double>(local_epochs_) * d.capacitance *
+                       d.cycles_per_bit * d.data_bits;
+  const double k2 = 2.0 * coeff;
+  CHIRON_CHECK_MSG(k2 > 0.0, "device " << i << " has zero energy coeff");
+  coeff_[i] = coeff;
+  k2_[i] = k2;
+  // Eqn (6) numerator, associated as ((sigma*c)*d) like best_response.
+  t_num_[i] =
+      static_cast<double>(local_epochs_) * d.cycles_per_bit * d.data_bits;
+  e_com_[i] = d.comm_energy_rate * d.comm_time;
+  zeta_min_[i] = d.zeta_min;
+  zeta_max_[i] = d.zeta_max;
+  comm_time_[i] = d.comm_time;
+  reserve_[i] = d.reserve_utility;
+}
+
+void EconomicsPlane::set_misreport(std::size_t i, double factor) {
+  CHIRON_CHECK_MSG(i < num_nodes(),
+                   "node " << i << " vs plane " << num_nodes());
+  CHIRON_CHECK_MSG(factor >= 1.0, "misreport factor must be >= 1, got "
+                                      << factor);
+  misreport_[i] = factor;
 }
 
 void EconomicsPlane::best_response_batch(const std::vector<double>& prices,
@@ -94,25 +110,34 @@ void EconomicsPlane::best_response_batch(const std::vector<double>& prices,
         for (std::int64_t ii = lo; ii < hi; ++ii) {
           const auto i = static_cast<std::size_t>(ii);
           const double p = prices[i];
+          const double f = misreport_[i];
           out.price[i] = p;
           out.comm_time[i] = comm_time_[i];
-          // Eqn (11) clamped best response and Eqn (8) utility, with the
-          // exact operation order of best_response/utility_at so every
-          // column is bit-identical to the scalar path.
-          const double zc =
+          // Eqn (11) clamped responses and Eqn (8) utilities, with the
+          // exact operation order of misreported_response/best_response
+          // so every column is bit-identical to the scalar path. The node
+          // bills the honest best response z_claim but runs z_run, the
+          // best response under its reported cost f·α; at f == 1 the two
+          // coincide bit for bit ((2·1)·coeff == k2, (1·coeff)·z == coeff·z)
+          // and the gate is best_response's reserve test.
+          const double z_claim =
               std::clamp(p / k2_[i], zeta_min_[i], zeta_max_[i]);
-          const double e_cmp = coeff_[i] * zc * zc;
-          const double u = p * zc - e_cmp - e_com_[i];
-          const bool live = p > 0.0 && !(u < reserve_[i]);
-          const double t_cmp = t_num_[i] / zc;
+          const double z_run = std::clamp(p / (2.0 * f * coeff_[i]),
+                                          zeta_min_[i], zeta_max_[i]);
+          const double e_cmp = coeff_[i] * z_run * z_run;
+          const double u_reported =
+              p * z_run - f * coeff_[i] * z_run * z_run - e_com_[i];
+          const bool live = p > 0.0 && !(u_reported < f * reserve_[i]);
+          const double u = p * z_claim - e_cmp - e_com_[i];
+          const double t_cmp = t_num_[i] / z_run;
           out.participates[i] = live ? 1 : 0;
-          out.zeta[i] = live ? zc : 0.0;
+          out.zeta[i] = live ? z_claim : 0.0;
           out.compute_time[i] = live ? t_cmp : 0.0;
           out.total_time[i] = live ? t_cmp + comm_time_[i] : 0.0;
           out.compute_energy[i] = live ? e_cmp : 0.0;
           out.comm_energy[i] = live ? e_com_[i] : 0.0;
           out.utility[i] = live ? u : 0.0;
-          out.payment[i] = live ? p * zc : 0.0;
+          out.payment[i] = live ? p * z_claim : 0.0;
         }
       },
       kElementGrain);
@@ -151,23 +176,24 @@ RoundAggregates EconomicsPlane::aggregate_round(
   RoundAggregates out;
   if (n == 0) return out;
   // chiron-hot-begin(econ-aggregate)
-  const auto chunks = static_cast<std::int64_t>((n + chunk_ - 1) / chunk_);
-
-  // Pass 1 (participants, T_k, payments, energy): fixed-size chunks, each
-  // partial accumulated in node order exactly like aggregate_round's
-  // first loop, folded serially ascending. One chunk == the scalar loop.
+  // Pass 1 (participants, T_k, payments, energy): each chunk partial is
+  // accumulated in node order exactly like aggregate_round's first loop.
+  // One chunk == the scalar loop.
   struct Pass1 {
     int participants = 0;
     double round_time = 0.0;
     double payment = 0.0;
     double energy = 0.0;
+    void operator+=(const Pass1& p) {
+      participants += p.participants;
+      round_time = std::max(round_time, p.round_time);
+      payment += p.payment;
+      energy += p.energy;
+    }
   };
-  // chiron-lint: allow(AL1): parallel_map returns O(chunks) partials, not O(N)
-  const std::vector<Pass1> p1 = runtime::parallel_map<Pass1>(
-      chunks, [&](std::int64_t c) {
+  const Pass1 p1 = fold_chunks<Pass1>(
+      n, chunk_, [&](std::size_t lo, std::size_t hi) {
         Pass1 acc;
-        const std::size_t lo = static_cast<std::size_t>(c) * chunk_;
-        const std::size_t hi = std::min(n, lo + chunk_);
         for (std::size_t i = lo; i < hi; ++i) {
           if (batch.participates[i]) {
             ++acc.participants;
@@ -178,12 +204,10 @@ RoundAggregates EconomicsPlane::aggregate_round(
         }
         return acc;
       });
-  for (const Pass1& p : p1) {
-    out.participants += p.participants;
-    out.round_time = std::max(out.round_time, p.round_time);
-    out.total_payment += p.payment;
-    out.total_energy += p.energy;
-  }
+  out.participants = p1.participants;
+  out.round_time = p1.round_time;
+  out.total_payment = p1.payment;
+  out.total_energy = p1.energy;
 
   // Pass 2 (Eqns 15/16) needs the global round time, so it is a second
   // chunked sweep over all N nodes — declined nodes idle the full round.
@@ -192,13 +216,14 @@ RoundAggregates EconomicsPlane::aggregate_round(
     struct Pass2 {
       double idle = 0.0;
       double time_sum = 0.0;
+      void operator+=(const Pass2& p) {
+        idle += p.idle;
+        time_sum += p.time_sum;
+      }
     };
-    // chiron-lint: allow(AL1): parallel_map returns O(chunks) partials, not O(N)
-    const std::vector<Pass2> p2 = runtime::parallel_map<Pass2>(
-        chunks, [&](std::int64_t c) {
+    const Pass2 p2 = fold_chunks<Pass2>(
+        n, chunk_, [&](std::size_t lo, std::size_t hi) {
           Pass2 acc;
-          const std::size_t lo = static_cast<std::size_t>(c) * chunk_;
-          const std::size_t hi = std::min(n, lo + chunk_);
           for (std::size_t i = lo; i < hi; ++i) {
             const double t =
                 batch.participates[i] ? batch.total_time[i] : 0.0;
@@ -207,13 +232,9 @@ RoundAggregates EconomicsPlane::aggregate_round(
           }
           return acc;
         });
-    double time_sum = 0.0;
-    for (const Pass2& p : p2) {
-      out.idle_time += p.idle;
-      time_sum += p.time_sum;
-    }
+    out.idle_time = p2.idle;
     out.time_efficiency =
-        time_sum / (static_cast<double>(n) * out.round_time);
+        p2.time_sum / (static_cast<double>(n) * out.round_time);
   } else {
     out.time_efficiency = 0.0;
   }

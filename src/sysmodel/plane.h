@@ -9,7 +9,8 @@
 // per population, and evaluates whole rounds as batched column passes:
 //
 //   best_response_batch  — elementwise Eqn (11) best response + reserve
-//                          gate into a reusable `DecisionBatch` SoA
+//                          gate into a reusable `DecisionBatch` SoA, under
+//                          each node's misreport factor (1 = truthful)
 //   utility_batch        — elementwise Eqn (8) utilities
 //   aggregate_round      — Eqns (15)/(16) round aggregates via a
 //                          fixed-chunk two-phase reduction
@@ -18,8 +19,9 @@
 //   * Elementwise passes run under runtime::parallel_for; every output
 //     element is produced by the same arithmetic a serial loop would
 //     execute, so results are bit-identical at any --threads and
-//     bit-for-bit equal to per-node sysmodel::best_response /
-//     utility_at (the plane_test property tests pin this).
+//     bit-for-bit equal to per-node sysmodel::misreported_response /
+//     utility_at, and so to best_response for a truthful node (the
+//     plane_test property tests pin this).
 //   * Reductions never use parallel_for's thread-count-dependent split.
 //     The population is cut into fixed chunks of `chunk_size()` nodes;
 //     per-chunk partials are computed independently (parallel_map over
@@ -36,9 +38,11 @@
 //     the PR 3 arena machinery).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "runtime/parallel.h"
 #include "runtime/workspace.h"
 #include "sysmodel/economics.h"
 #include "sysmodel/device.h"
@@ -85,24 +89,57 @@ struct RoundAggregates {
   double time_efficiency = 0.0;
 };
 
+/// The fixed-chunk reduction schedule of the plane: calls body(lo, hi),
+/// which returns a Partial, for every chunk [c·chunk, min(n, (c+1)·chunk))
+/// in parallel and folds the partials with `+=` serially in ascending
+/// chunk order into a value-initialized Partial. The schedule is a pure
+/// function of (n, chunk), never of the thread count, and a single chunk
+/// runs inline as exactly the serial loop.
+template <typename Partial, typename Body>
+Partial fold_chunks(std::size_t n, std::size_t chunk, const Body& body) {
+  const auto chunks = static_cast<std::int64_t>((n + chunk - 1) / chunk);
+  // chiron-lint: allow(AL1): parallel_map returns O(chunks) partials, not O(N)
+  const std::vector<Partial> parts = runtime::parallel_map<Partial>(
+      chunks, [&](std::int64_t c) {
+        const std::size_t lo = static_cast<std::size_t>(c) * chunk;
+        return body(lo, std::min(n, lo + chunk));
+      });
+  Partial out{};
+  for (const Partial& p : parts) out += p;
+  return out;
+}
+
 class EconomicsPlane {
  public:
   /// Default reduction chunk. Any population up to this size reduces as
   /// a single chunk, op-for-op identical to sysmodel::aggregate_round.
   static constexpr std::size_t kDefaultChunk = 8192;
 
-  /// Builds the constant columns for `devices` (copied; rebuild() after
-  /// churn). `chunk` is test-only: shrinking it exercises the
-  /// multi-chunk reduction on small populations.
+  /// Builds the constant columns for `devices` (copied; refresh() or
+  /// rebuild() after churn). `chunk` is test-only: shrinking it
+  /// exercises the multi-chunk reduction on small populations.
   EconomicsPlane(const std::vector<DeviceProfile>& devices, int local_epochs,
                  std::size_t chunk = kDefaultChunk);
 
   /// Recomputes the constant columns from a (possibly mutated) device
-  /// vector of the same or different size.
+  /// vector of the same or different size; every node reports truthfully
+  /// (misreport factor 1) afterwards.
   void rebuild(const std::vector<DeviceProfile>& devices);
 
-  /// Batched Eqn (11) best response: out column j of node i is
-  /// bit-identical to best_response(devices[i], prices[i]).field j.
+  /// Recomputes node i's constant columns from its new device profile (a
+  /// churn rejoin), exactly as rebuild() would. Its misreport factor is
+  /// kept. Distinct nodes may be refreshed concurrently.
+  void refresh(std::size_t i, const DeviceProfile& device);
+
+  /// Sets the factor >= 1 by which node i inflates its reported cost
+  /// α·c·d and reserve μ (1 = truthful). It holds until changed or until
+  /// rebuild(). Distinct nodes may be set concurrently.
+  void set_misreport(std::size_t i, double factor);
+
+  /// Batched Eqn (11) response under each node's misreport factor: out
+  /// column j of node i is bit-identical to misreported_response(
+  /// devices[i], prices[i], σ, factor_i).field j — which for a truthful
+  /// node is best_response(devices[i], prices[i]).field j.
   void best_response_batch(const std::vector<double>& prices,
                            DecisionBatch& out) const;
 
@@ -132,6 +169,9 @@ class EconomicsPlane {
   std::size_t chunk_size() const { return chunk_; }
 
  private:
+  /// Fills node i's constant columns from its device profile.
+  void set_node(std::size_t i, const DeviceProfile& device);
+
   int local_epochs_ = 1;
   std::size_t chunk_ = kDefaultChunk;
   // Per-device constants, precomputed with the exact operation order of
@@ -145,6 +185,7 @@ class EconomicsPlane {
   Column zeta_max_;
   Column comm_time_;
   Column reserve_;
+  Column misreport_;  // f — reported-cost inflation factor (1 = truthful)
 };
 
 }  // namespace chiron::sysmodel

@@ -4,14 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/env.h"
 #include "obs/round_log.h"
 #include "runtime/runtime.h"
+#include "test_util.h"
 
 namespace chiron::core {
 namespace {
@@ -433,6 +437,106 @@ TEST(AdversaryEnv, ReputationDownWeightsRepeatOffenders) {
   // Free-riders are caught, not paid — the clawback ledger grew while the
   // budget only ever paid clean deliveries.
   EXPECT_GT(clawed, 0.0);
+}
+
+// Every StepResult field and every per-node outcome column of an episode
+// with every fault, adversary and defense knob live.
+std::uint64_t every_knob_episode_hash(int threads, int nodes = 4096,
+                                      int rounds = 30) {
+  runtime::set_threads(threads);
+  EnvConfig c = base_config();
+  c.num_nodes = nodes;
+  c.budget = 1e9;
+  c.node_availability = 0.95;
+  c.round_deadline = 60.0;
+  c.faults.crash_prob = 0.05;
+  c.faults.straggler_prob = 0.15;
+  c.faults.corrupt_prob = 0.03;
+  c.faults.persistent_prob = 0.2;
+  c.faults.seed = 11;
+  c.adversary.fraction = 0.3;
+  c.adversary.misreport_factor = 2.0;
+  c.adversary.freeride_prob = 0.3;
+  c.adversary.churn_prob = 0.02;
+  c.adversary.seed = 13;
+  c.defense.reserve_price = 0.09;
+  c.defense.audit_prob = 0.2;
+  c.defense.reputation_alpha = 0.3;
+  c.defense.seed = 17;
+  EdgeLearnEnv env(c);
+  env.reset();
+  Rng rng(19);
+  std::vector<double> prices;
+  for (int i = 0; i < c.num_nodes; ++i)
+    prices.push_back(env.per_node_price_cap(i) * rng.uniform(0.02, 0.3));
+  testing_util::Fnv1a h;
+  StepResult sum;  // every knob must actually fire during the episode
+  for (int round = 0; round < rounds; ++round) {
+    const StepResult r = env.step(prices);
+    for (auto [total, v] :
+         {std::pair{&sum.offline, r.offline}, {&sum.crashed, r.crashed},
+          {&sum.late, r.late}, {&sum.rejected, r.rejected},
+          {&sum.screened, r.screened}, {&sum.flagged, r.flagged},
+          {&sum.departed, r.departed}, {&sum.rejoined, r.rejoined},
+          {&sum.freeriding, r.freeriding},
+          {&sum.misreporting, r.misreporting}}) {
+      *total += v;
+    }
+    for (const double v :
+         {r.reward_exterior, r.reward_inner, r.raw_exterior_reward,
+          r.round_time, r.accuracy, r.accuracy_gain, r.payment, r.idle_time,
+          r.time_efficiency, r.clawed_back, r.forfeited_total,
+          r.outcome.round_time, r.outcome.total_payment,
+          r.outcome.total_energy, r.outcome.idle_time,
+          r.outcome.time_efficiency}) {
+      h.add(v);
+    }
+    for (const int v :
+         {static_cast<int>(r.done), static_cast<int>(r.aborted),
+          r.participants, r.offline, r.delivered, r.crashed, r.late,
+          r.rejected, r.lightweight, r.screened, r.flagged, r.departed,
+          r.rejoined, r.freeriding, r.misreporting, r.outcome.participants}) {
+      h.add(static_cast<std::uint64_t>(v));
+    }
+    for (const sysmodel::NodeDecision& d : r.outcome.nodes) {
+      h.add(static_cast<std::uint64_t>(d.participates));
+      for (const double v : {d.price, d.zeta, d.compute_time, d.comm_time,
+                             d.total_time, d.compute_energy, d.comm_energy,
+                             d.utility, d.payment}) {
+        h.add(v);
+      }
+    }
+    h.add(env.budget_remaining());
+  }
+  for (const float v : env.exterior_state()) h.add(static_cast<double>(v));
+  for (const int total :
+       {sum.offline, sum.crashed, sum.late, sum.rejected, sum.screened,
+        sum.flagged, sum.departed, sum.rejoined, sum.freeriding,
+        sum.misreporting}) {
+    EXPECT_GT(total, 0);
+  }
+  runtime::set_threads(0);
+  return h.h;
+}
+
+TEST(AdversaryEnv, EveryKnobEpisodeMatchesKnownAnswer) {
+  // One commit/settle path for every configuration: at N <= the plane's
+  // reduction chunk it must replay the three-path env it replaced op for
+  // op. The known answer was recorded from that env (scalar strategic
+  // market, AoS realize_round) at this configuration; threads 1 and 8
+  // must both reproduce it.
+  constexpr std::uint64_t kKnownAnswer = 0x2ef31120ac56b14cull;
+  EXPECT_EQ(every_knob_episode_hash(1), kKnownAnswer);
+  EXPECT_EQ(every_knob_episode_hash(8), kKnownAnswer);
+}
+
+TEST(AdversaryEnv, MultiChunkRoundsAreThreadInvariant) {
+  // Above the plane's reduction chunk the commit and settle passes run
+  // their node chunks in parallel; the fold order is fixed, so thread
+  // count still moves no bit.
+  constexpr int kNodes = 2 * 8192 + 1000;
+  EXPECT_EQ(every_knob_episode_hash(1, kNodes, 8),
+            every_knob_episode_hash(8, kNodes, 8));
 }
 
 TEST(AdversaryEnv, InvalidAdversaryConfigRejectedAtConstruction) {

@@ -367,5 +367,41 @@ TEST(EdgeLearnEnv, RealBlobsBackendEndToEnd) {
   EXPECT_GT(env.accuracy(), a0);
 }
 
+TEST(EdgeLearnEnv, HonestRoundSettlesFromTheBackendReport) {
+  // A fault-free round still pays on delivery as the backend reports it:
+  // under a replica cap the stats-only nodes are counted as lightweight,
+  // and an upload the always-on validator rejects (here: every trained
+  // model, against a tiny norm bound) is neither delivered nor paid.
+  EnvConfig c = small_config();
+  c.num_nodes = 6;
+  c.backend = BackendKind::kRealBlobs;
+  c.samples_per_node = 20;
+  c.test_samples = 40;
+  c.local.epochs = 1;
+  c.local.batch_size = 10;
+  c.max_replicas = 2;
+  c.upload_norm_bound = 1e-6;
+  c.budget = 1e6;
+  EdgeLearnEnv env(c);
+  env.reset();
+  std::vector<double> prices;
+  for (int i = 0; i < env.num_nodes(); ++i)
+    prices.push_back(0.5 * env.per_node_price_cap(i));
+  const StepResult r = env.step(prices);
+  ASSERT_GT(r.participants, 0);
+  EXPECT_GT(r.lightweight, 0);
+  EXPECT_GT(r.rejected, 0);
+  EXPECT_EQ(r.delivered + r.rejected + r.crashed + r.late, r.participants);
+  int paid = 0;
+  double paid_total = 0.0;
+  for (const sysmodel::NodeDecision& d : r.outcome.nodes) {
+    if (d.payment > 0.0) ++paid;
+    paid_total += d.payment;
+  }
+  EXPECT_EQ(paid, r.delivered);
+  EXPECT_EQ(paid_total, r.payment);
+  EXPECT_EQ(env.budget_remaining(), c.budget - r.payment);
+}
+
 }  // namespace
 }  // namespace chiron::core

@@ -90,6 +90,62 @@ TEST(EconomicsPlane, BestResponseBatchThreadInvariant) {
     expect_node_eq(t1.node(i), t8.node(i), static_cast<int>(i));
 }
 
+TEST(EconomicsPlane, MisreportBatchBitEqualsScalar) {
+  // Every regime (declined, interior, ζ_min-clamped, ζ_max-saturated)
+  // under every factor: node i reports with kFactors[i % 3], and its
+  // columns must equal misreported_response bit for bit at any thread
+  // count — factor 1 included, where that is best_response.
+  const double kFactors[] = {1.0, 1.37, 2.0};
+  const TestMarket m = make_market(1031, 61);
+  EconomicsPlane plane(m.devices, kSigma);
+  for (std::size_t i = 0; i < m.devices.size(); ++i)
+    plane.set_misreport(i, kFactors[i % 3]);
+  for (const int threads : {1, 8}) {
+    runtime::set_threads(threads);
+    DecisionBatch batch;
+    plane.best_response_batch(m.prices, batch);
+    ASSERT_EQ(batch.size(), m.devices.size());
+    int live[3] = {0, 0, 0};
+    for (std::size_t i = 0; i < m.devices.size(); ++i) {
+      const NodeDecision want = misreported_response(
+          m.devices[i], m.prices[i], kSigma, kFactors[i % 3]);
+      expect_node_eq(batch.node(i), want, static_cast<int>(i));
+      live[i % 3] += want.participates ? 1 : 0;
+    }
+    // Each factor sees both participants and decliners.
+    for (int f = 0; f < 3; ++f) {
+      EXPECT_GT(live[f], 0) << "factor " << kFactors[f];
+      EXPECT_LT(live[f], static_cast<int>(m.devices.size()) / 3);
+    }
+  }
+  runtime::set_threads(0);
+}
+
+TEST(EconomicsPlane, RefreshMatchesFreshPlaneAfterRejoin) {
+  // A churn rejoin resamples one node's device; refreshing that node's
+  // columns must price the market exactly like a plane built from the new
+  // devices, misreport factors included.
+  TestMarket m = make_market(97, 67);
+  EconomicsPlane plane(m.devices, kSigma);
+  for (std::size_t i = 0; i < m.devices.size(); i += 2)
+    plane.set_misreport(i, 1.5);
+  Rng rng(71);
+  for (std::size_t i = 3; i < m.devices.size(); i += 7) {
+    m.devices[i] = sample_device(DevicePopulation{}, m.devices[i].data_bits,
+                                 rng);
+    plane.refresh(i, m.devices[i]);
+  }
+  EconomicsPlane fresh(m.devices, kSigma);
+  for (std::size_t i = 0; i < m.devices.size(); i += 2)
+    fresh.set_misreport(i, 1.5);
+  DecisionBatch got;
+  DecisionBatch want;
+  plane.best_response_batch(m.prices, got);
+  fresh.best_response_batch(m.prices, want);
+  for (std::size_t i = 0; i < m.devices.size(); ++i)
+    expect_node_eq(got.node(i), want.node(i), static_cast<int>(i));
+}
+
 TEST(EconomicsPlane, UtilityBatchBitEqualsScalar) {
   const TestMarket m = make_market(100, 3);
   const EconomicsPlane plane(m.devices, kSigma);

@@ -7,6 +7,8 @@
 #                             unchanged tree re-checks in under a second
 #   2. header check         — every src/**/*.h compiles standalone
 #   3. build + ctest        — Release tree with CHIRON_WERROR=ON, full suite
+#                             three times over (--repeat until-fail:3), so
+#                             a flaky test fails the stage
 #   4. UBSan                — full suite under -fsanitize=undefined (no recover)
 #   5. TSan                 — concurrency-heavy suites under -fsanitize=thread
 #   6. ASan                 — same suites under -fsanitize=address
@@ -34,6 +36,11 @@
 #                             regression (or a silently missing benchmark
 #                             binary) fails the check instead of dropping
 #                             out of the trajectory
+#  14. perfbench            — the end-to-end benchmark's self-tests and a
+#                             short run of every workload at --trace 0 and
+#                             1; any non-zero exit (a build break against
+#                             the library API or a failed output check)
+#                             fails the stage
 #
 # Each stage prints a PASS/FAIL banner with its wall time, the first
 # failure stops the run, and either way a final summary table lists every
@@ -81,22 +88,24 @@ stage() {
 build_and_ctest() {
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DCHIRON_WERROR=ON
   cmake --build build -j"$(nproc)"
-  ctest --test-dir build --output-on-failure -j"$(nproc)"
+  ctest --test-dir build --output-on-failure -j"$(nproc)" \
+    --repeat until-fail:3
 }
 
-stage "1/13: chiron-lint (layering/locking/allocation contract)" tools/check_lint.sh
-stage "2/13: header self-containment" tools/check_headers.sh
-stage "3/13: build -Werror + full ctest" build_and_ctest
-stage "4/13: UndefinedBehaviorSanitizer" tools/check_ubsan.sh
-stage "5/13: ThreadSanitizer" tools/check_tsan.sh
-stage "6/13: AddressSanitizer" tools/check_asan.sh
-stage "7/13: clang-tidy" tools/check_tidy.sh
-stage "8/13: observability determinism (threads 1 vs 8 diff)" tools/check_obs.sh
-stage "9/13: serving determinism (serial vs parallel diff)" tools/check_serve.sh
-stage "10/13: adversary contract (zero-knob + thread diff + ASan)" tools/check_adversary.sh
-stage "11/13: scale contract (zero-knob + 10k thread diff + ASan)" tools/check_scale.sh
-stage "12/13: pipeline determinism (off vs on diff + TSan)" tools/check_pipeline.sh
-stage "13/13: substrate benchmarks -> BENCH_substrate.json" tools/bench_substrate.sh
+stage "1/14: chiron-lint (layering/locking/allocation contract)" tools/check_lint.sh
+stage "2/14: header self-containment" tools/check_headers.sh
+stage "3/14: build -Werror + full ctest" build_and_ctest
+stage "4/14: UndefinedBehaviorSanitizer" tools/check_ubsan.sh
+stage "5/14: ThreadSanitizer" tools/check_tsan.sh
+stage "6/14: AddressSanitizer" tools/check_asan.sh
+stage "7/14: clang-tidy" tools/check_tidy.sh
+stage "8/14: observability determinism (threads 1 vs 8 diff)" tools/check_obs.sh
+stage "9/14: serving determinism (serial vs parallel diff)" tools/check_serve.sh
+stage "10/14: adversary contract (zero-knob + thread diff + ASan)" tools/check_adversary.sh
+stage "11/14: scale contract (zero-knob + 10k thread diff + ASan)" tools/check_scale.sh
+stage "12/14: pipeline determinism (off vs on diff + TSan)" tools/check_pipeline.sh
+stage "13/14: substrate benchmarks -> BENCH_substrate.json" tools/bench_substrate.sh
+stage "14/14: perfbench (self-tests + every workload, trace 0 and 1)" tools/check_perfbench.sh
 
 print_summary
 echo
