@@ -143,14 +143,6 @@ NodeDecision misreported_response(const DeviceProfile& device, double price,
   return d;
 }
 
-double realized_node_time(const NodeDecision& node, double slowdown,
-                          double deadline) {
-  CHIRON_CHECK(slowdown >= 1.0);
-  if (!node.participates) return 0.0;
-  const double t = node.compute_time * slowdown + node.comm_time;
-  return deadline > 0.0 ? std::min(t, deadline) : t;
-}
-
 RoundOutcome realize_round(const RoundOutcome& promised,
                            const std::vector<double>& realized_times,
                            const std::vector<bool>& paid) {
