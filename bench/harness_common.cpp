@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 
 #include "common/error.h"
 #include "common/flags.h"
@@ -66,7 +67,9 @@ HarnessOptions read_options() {
   return opt;
 }
 
-HarnessOptions read_options(int argc, const char* const* argv) {
+namespace {
+
+HarnessOptions parse_options(int argc, const char* const* argv) {
   HarnessOptions opt = read_options();
   FlagParser flags(argc, argv);
   if (flags.has("episodes")) {
@@ -118,6 +121,17 @@ HarnessOptions read_options(int argc, const char* const* argv) {
                            "reputation-alpha"});
   CHIRON_CHECK_MSG(unknown.empty(), "unknown flag --" << unknown.front());
   return opt;
+}
+
+}  // namespace
+
+HarnessOptions read_options(int argc, const char* const* argv) {
+  try {
+    return parse_options(argc, argv);
+  } catch (const InvariantError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(1);
+  }
 }
 
 ObsSession::ObsSession(HarnessOptions& opt)

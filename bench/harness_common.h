@@ -94,7 +94,8 @@ HarnessOptions read_options();
 /// read_options() plus command-line flags, which win over the
 /// environment: --episodes, --eval-episodes, --real-training, --seed,
 /// --threads, --round-log, --metrics-out, --trace. Unknown flags are a
-/// hard error so typos don't silently fall back to defaults.
+/// hard error so typos don't silently fall back to defaults: a bad flag
+/// or value prints one "error: ..." line on stderr and exits with status 1.
 HarnessOptions read_options(int argc, const char* const* argv);
 
 /// RAII scope for a harness run's observability: enables the metrics

@@ -115,6 +115,52 @@ static void BM_PpoUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_PpoUpdate);
 
+// One PpoAgent::act on the exterior agent's shape (12 → 64 → 64 → 1,
+// batch 1): a policy mean, a Gaussian sample and a value estimate — the
+// per-round cost of acting, dominated by the MLPs' tanh once the batch-1
+// GEMMs take the direct path.
+static void BM_PolicyAct(benchmark::State& state) {
+  rl::PpoConfig cfg;
+  cfg.obs_dim = 12;
+  cfg.act_dim = 1;
+  cfg.hidden = 64;
+  Rng rng(9);
+  rl::PpoAgent agent(cfg, rng);
+  std::vector<float> obs(12, 0.1f);
+  Rng arng(10);
+  for (auto _ : state) {
+    auto a = agent.act(obs, arng);
+    benchmark::DoNotOptimize(a.value);
+  }
+}
+BENCHMARK(BM_PolicyAct);
+
+// The GEMMs of one PPO epoch over a T-transition episode on the exterior
+// nets (12 → 64 → 64 → 1): per layer, the forward x·W, the weight
+// gradient xᵀ·g and the input gradient g·Wᵀ — all three matmul views at
+// the batch sizes PPO updates run (T = 50 and 300).
+static void BM_PpoGemm(benchmark::State& state) {
+  const std::int64_t t = state.range(0);
+  const std::int64_t dims[][2] = {{12, 64}, {64, 64}, {64, 1}};
+  Rng rng(11);
+  std::vector<tensor::Tensor> xs, ws, gs;
+  for (const auto& d : dims) {
+    xs.push_back(tensor::Tensor::uniform({t, d[0]}, rng, -1.f, 1.f));
+    ws.push_back(tensor::Tensor::uniform({d[0], d[1]}, rng, -1.f, 1.f));
+    gs.push_back(tensor::Tensor::uniform({t, d[1]}, rng, -1.f, 1.f));
+  }
+  tensor::Tensor y, dw, dx;
+  for (auto _ : state) {
+    for (std::size_t l = 0; l < xs.size(); ++l) {
+      tensor::matmul_into(xs[l], ws[l], y);
+      tensor::matmul_at_into(xs[l], gs[l], dw);
+      tensor::matmul_bt_into(gs[l], ws[l], dx);
+    }
+    benchmark::DoNotOptimize(dx.data());
+  }
+}
+BENCHMARK(BM_PpoGemm)->Arg(50)->Arg(300);
+
 // Wall-clock of one synchronous FedAvg round (8 nodes, paper CNN) as the
 // runtime pool grows: the perf-trajectory tracker for the parallel round
 // engine. Results are bit-identical across arguments (determinism

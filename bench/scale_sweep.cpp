@@ -182,21 +182,17 @@ BENCHMARK(BM_FedRoundScaled)
 // Full environment step at 100k nodes (surrogate backend): economics
 // plane, budget/payment accounting, history ring and state assembly —
 // the end-to-end per-round cost a mechanism run pays at this scale.
-// BM_EnvStep100k splits a 5e8-bit corpus across the nodes, which leaves
-// every node below its reserve (no participants: pricing and accounting
-// only). The Market pair keeps the default per-node shard, so most nodes
+// BM_EnvStep100kMarket keeps the default per-node shard, so most nodes
 // join; its Strategic twin adds perfbench's market_strategic knobs
 // (crash, straggler, misreport, free-ride, churn, audit, reputation), and
 // the ratio of the two is the price of the fault and adversary rounds.
-static void run_env_step(benchmark::State& state, double data_bits,
-                         bool strategic) {
+static void run_env_step(benchmark::State& state, bool strategic) {
   const int n = static_cast<int>(state.range(0));
   core::EnvConfig cfg;
   cfg.num_nodes = n;
   cfg.budget = 1e12;
   cfg.max_rounds = 1 << 30;
   cfg.backend = core::BackendKind::kSurrogate;
-  cfg.data_bits_per_node = data_bits;
   if (strategic) {
     cfg.faults.crash_prob = 0.05;
     cfg.faults.straggler_prob = 0.1;
@@ -226,18 +222,13 @@ static void run_env_step(benchmark::State& state, double data_bits,
   set_nodes_per_sec(state, n);
 }
 
-static void BM_EnvStep100k(benchmark::State& state) {
-  run_env_step(state, 5e8 / static_cast<double>(state.range(0)), false);
-}
-BENCHMARK(BM_EnvStep100k)->Arg(100000)->Unit(benchmark::kMillisecond);
-
 static void BM_EnvStep100kMarket(benchmark::State& state) {
-  run_env_step(state, core::EnvConfig{}.data_bits_per_node, false);
+  run_env_step(state, /*strategic=*/false);
 }
 BENCHMARK(BM_EnvStep100kMarket)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 static void BM_EnvStep100kStrategic(benchmark::State& state) {
-  run_env_step(state, core::EnvConfig{}.data_bits_per_node, true);
+  run_env_step(state, /*strategic=*/true);
 }
 BENCHMARK(BM_EnvStep100kStrategic)
     ->Arg(100000)

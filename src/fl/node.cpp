@@ -61,7 +61,8 @@ EdgeNode::GradientStats EdgeNode::probe_gradient(
   auto [x, y] = shard_.gather(idx);
   nn::SoftmaxCrossEntropy loss;
   scratch.zero_grad();
-  nn::Tensor logits = scratch.forward(x, /*train=*/false);
+  // A training forward: backward() below needs the layer caches.
+  nn::Tensor logits = scratch.forward(x, /*train=*/true);
   GradientStats stats;
   stats.loss = loss.forward(logits, y);
   scratch.backward(loss.backward());

@@ -6,8 +6,8 @@
 
 namespace chiron::nn {
 
-Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
-  input_ = x;
+Tensor ReLU::forward(const Tensor& x, bool train) {
+  if (train) input_ = x;
   Tensor y = x;
   for (std::int64_t i = 0; i < y.size(); ++i)
     if (y[i] < 0.f) y[i] = 0.f;
@@ -15,6 +15,7 @@ Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
+  CHIRON_CHECK_MSG(input_.size() > 0, "backward before forward");
   CHIRON_CHECK(grad_out.shape() == input_.shape());
   Tensor g = grad_out;
   for (std::int64_t i = 0; i < g.size(); ++i)
@@ -22,14 +23,15 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   return g;
 }
 
-Tensor Tanh::forward(const Tensor& x, bool /*train*/) {
+Tensor Tanh::forward(const Tensor& x, bool train) {
   Tensor y = x;
   for (std::int64_t i = 0; i < y.size(); ++i) y[i] = std::tanh(y[i]);
-  output_ = y;
+  if (train) output_ = y;
   return y;
 }
 
 Tensor Tanh::backward(const Tensor& grad_out) {
+  CHIRON_CHECK_MSG(output_.size() > 0, "backward before forward");
   CHIRON_CHECK(grad_out.shape() == output_.shape());
   Tensor g = grad_out;
   for (std::int64_t i = 0; i < g.size(); ++i)

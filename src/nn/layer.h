@@ -1,7 +1,7 @@
 // Layer abstraction for the manual-backprop neural network library.
 //
-// Each layer owns its parameters (value + gradient tensors). forward()
-// caches whatever the matching backward() needs; a layer therefore
+// Each layer owns its parameters (value + gradient tensors). A training
+// forward() caches whatever the matching backward() needs; a layer therefore
 // processes one batch at a time (sufficient for both federated local
 // training and PPO updates, which are strictly sequential here).
 #pragma once
@@ -31,13 +31,14 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the layer output for input x, caching activations needed by
-  /// backward(). `train` distinguishes training from inference (unused by
-  /// the current layers but part of the contract).
+  /// Computes the layer output for input x. A training forward
+  /// (train = true) caches the activations backward() needs. Linear, Tanh
+  /// and ReLU skip that cache on an inference forward (train = false), so
+  /// it costs no copy and leaves a pending backward's state untouched.
   virtual Tensor forward(const Tensor& x, bool train) = 0;
 
   /// Given dL/d(output), accumulates parameter gradients and returns
-  /// dL/d(input). Must be called after a matching forward().
+  /// dL/d(input). Must be called after a matching training forward().
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
   /// The layer's trainable parameters (empty for stateless layers).

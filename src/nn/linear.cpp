@@ -15,14 +15,17 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng)
   CHIRON_CHECK(in_features > 0 && out_features > 0);
 }
 
-Tensor Linear::forward(const Tensor& x, bool /*train*/) {
+Tensor Linear::forward(const Tensor& x, bool train) {
   CHIRON_CHECK_MSG(x.rank() == 2 && x.dim(1) == in_,
                    "Linear expects (B, " << in_ << "), got " << x);
-  input_ = x;
+  if (train) input_ = x;
   Tensor y = tensor::matmul(x, weight_.value);
   const std::int64_t batch = y.dim(0);
-  for (std::int64_t b = 0; b < batch; ++b)
-    for (std::int64_t j = 0; j < out_; ++j) y.at2(b, j) += bias_.value[j];
+  const float* bias = bias_.value.data();
+  for (std::int64_t b = 0; b < batch; ++b) {
+    float* row = y.data() + b * out_;
+    for (std::int64_t j = 0; j < out_; ++j) row[j] += bias[j];
+  }
   return y;
 }
 
@@ -34,9 +37,11 @@ Tensor Linear::backward(const Tensor& grad_out) {
   tensor::matmul_at_into(input_, grad_out, wgrad_scratch_);
   weight_.grad += wgrad_scratch_;
   const std::int64_t batch = grad_out.dim(0);
-  for (std::int64_t b = 0; b < batch; ++b)
-    for (std::int64_t j = 0; j < out_; ++j)
-      bias_.grad[j] += grad_out.at2(b, j);
+  float* bias_grad = bias_.grad.data();
+  for (std::int64_t b = 0; b < batch; ++b) {
+    const float* row = grad_out.data() + b * out_;
+    for (std::int64_t j = 0; j < out_; ++j) bias_grad[j] += row[j];
+  }
   return tensor::matmul_bt(grad_out, weight_.value);
   // chiron-hot-end(linear-backward)
 }

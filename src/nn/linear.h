@@ -25,7 +25,7 @@ class Linear final : public Layer {
   std::int64_t out_;
   Param weight_;  // (in, out)
   Param bias_;    // (out)
-  Tensor input_;  // cached forward input
+  Tensor input_;  // input of the last training forward
   Tensor wgrad_scratch_;  // matmul_at result before += into weight grad
 };
 

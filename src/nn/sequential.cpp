@@ -11,8 +11,11 @@ Sequential& Sequential::add(LayerPtr layer) {
 }
 
 Tensor Sequential::forward(const Tensor& x, bool train) {
-  Tensor h = x;
-  for (auto& l : layers_) h = l->forward(h, train);
+  if (layers_.empty()) return x;
+  // The first layer reads x directly: no copy of the input batch.
+  Tensor h = layers_.front()->forward(x, train);
+  for (std::size_t i = 1; i < layers_.size(); ++i)
+    h = layers_[i]->forward(h, train);
   return h;
 }
 

@@ -75,10 +75,79 @@ inline void micro_kernel(std::int64_t kc, const float* ap, const float* bp,
   }
 }
 
+// Direct path, one block of nb ≤ NB columns of C row i over one K panel:
+// acc[j] = Σ A(i,kk)·B(kk,j) in ascending kk from 0.f, then C += acc — the
+// micro-kernel's arithmetic for a single row, minus the packing and the
+// padded lanes. Inlined at a full-block call site (nb == NB, a constant
+// trip count that keeps acc in registers) and a ragged-tail one.
+template <bool kUnitB, std::int64_t NB>
+[[gnu::always_inline]] inline void direct_block(const MatView& a,
+                                                const MatView& b,
+                                                const float* ap,
+                                                const float* bp,
+                                                std::int64_t kc,
+                                                std::int64_t nb,
+                                                float* crow) {
+  float acc[NB] = {};
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const float ai = ap[kk * a.cs];
+    const float* brow = bp + kk * b.rs;
+    if constexpr (kUnitB) {
+      for (std::int64_t j = 0; j < nb; ++j) acc[j] += ai * brow[j];
+    } else {
+      for (std::int64_t j = 0; j < nb; ++j) acc[j] += ai * brow[j * b.cs];
+    }
+  }
+  for (std::int64_t j = 0; j < nb; ++j) crow[j] += acc[j];
+}
+
+// One C row over one K panel, in blocks of NB columns. Row-major B runs
+// NB = 32 contiguous lanes per kk step; a strided B (the Bᵀ view) cannot
+// vectorize, so it keeps NB = 8 scalar sums in registers instead.
+template <bool kUnitB>
+void direct_row(const MatView& a, const MatView& b, std::int64_t i,
+                std::int64_t pc, std::int64_t kc, float* crow) {
+  constexpr std::int64_t NB = kUnitB ? 32 : 8;
+  const float* ap = a.data + i * a.rs + pc * a.cs;
+  const float* bp = b.data + pc * b.rs;
+  const std::int64_t n = b.cols;
+  std::int64_t j0 = 0;
+  for (; j0 + NB <= n; j0 += NB)
+    direct_block<kUnitB, NB>(a, b, ap, bp + j0 * b.cs, kc, NB, crow + j0);
+  if (j0 < n)
+    direct_block<kUnitB, NB>(a, b, ap, bp + j0 * b.cs, kc, n - j0,
+                             crow + j0);
+}
+
 }  // namespace
 
 void gemm_acc(const MatView& a, const MatView& b, float* c,
               const std::int64_t ldc) {
+  if (use_direct(a.rows)) {
+    gemm_direct(a, b, c, ldc);
+  } else {
+    gemm_packed(a, b, c, ldc);
+  }
+}
+
+void gemm_direct(const MatView& a, const MatView& b, float* c,
+                 const std::int64_t ldc) {
+  const std::int64_t m = a.rows, k = a.cols, n = b.cols;
+  if (m == 0 || n == 0 || k == 0) return;
+  for (std::int64_t pc = 0; pc < k; pc += kKC) {
+    const std::int64_t kc = std::min(kKC, k - pc);
+    for (std::int64_t i = 0; i < m; ++i) {
+      if (b.cs == 1) {
+        direct_row<true>(a, b, i, pc, kc, c + i * ldc);
+      } else {
+        direct_row<false>(a, b, i, pc, kc, c + i * ldc);
+      }
+    }
+  }
+}
+
+void gemm_packed(const MatView& a, const MatView& b, float* c,
+                 const std::int64_t ldc) {
   const std::int64_t m = a.rows, k = a.cols, n = b.cols;
   if (m == 0 || n == 0 || k == 0) return;
 

@@ -16,15 +16,19 @@
 // packing and micro-kernel — the stride disappears at pack time and the
 // inner loops always stream unit-stride packed panels.
 //
-// Determinism contract: the tile grid and panel schedule depend only on
-// (m, n, k) and the compile-time block constants — never on the thread
-// count. Every C element is accumulated by exactly one task per K panel,
-// K panels are visited serially in ascending order, and the micro-kernel
-// sums kk in ascending order, so results are bit-identical from
-// --threads 1 to --threads N. Ragged edges are handled by zero-padding
-// the packed panels to full MR/NR tiles: the padded lanes contribute
-// exact 0.f terms, so edge elements see the same arithmetic as interior
-// ones.
+// Products with fewer rows than one MR panel skip all of this and take
+// the direct path (gemm_direct below), which computes the same per-element
+// sums straight from the strided views.
+//
+// Determinism contract: the path choice, the tile grid and the panel
+// schedule depend only on (m, n, k) and the compile-time block constants —
+// never on the thread count. Every C element is accumulated by exactly one
+// task per K panel, K panels are visited serially in ascending order, and
+// the micro-kernel sums kk in ascending order, so results are
+// bit-identical from --threads 1 to --threads N. Ragged edges are handled
+// by zero-padding the packed panels to full MR/NR tiles: the padded lanes
+// contribute exact 0.f terms, so edge elements see the same arithmetic as
+// interior ones.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +38,9 @@ namespace chiron::tensor::detail {
 // Micro-tile footprint, chosen so the MR×NR accumulator block exactly
 // fills the target ISA's vector register file (measured on GCC 12; see
 // DESIGN.md §5.7). The shape never changes results — every C element is
-// the same ascending-kk sum regardless of tile geometry — so the default
-// and CHIRON_NATIVE builds agree up to the compiler's own vector math.
+// the same ascending-kk sum regardless of tile geometry, and gemm.cpp
+// builds with -ffp-contract=off — so the default and CHIRON_NATIVE builds
+// compute bit-identical products.
 #if defined(__AVX512F__)
 inline constexpr int kMR = 8;   // 8 rows × 2 zmm = 16 accumulators
 inline constexpr int kNR = 32;
@@ -64,6 +69,26 @@ struct MatView {
 
 /// C(m×n, row-major, leading dimension ldc) += A · B where A is an m×k
 /// view and B is a k×n view. The caller zeroes C for plain products.
+/// Dispatches to gemm_direct when use_direct(m), else gemm_packed.
 void gemm_acc(const MatView& a, const MatView& b, float* c, std::int64_t ldc);
+
+/// The direct small-shape rule. A product with fewer rows than one MR
+/// panel would pack all of B and pad A to a full panel for a handful of
+/// rows (a batch-1 policy act, a batch-1 price request, a batch-10 local
+/// SGD step), so it runs the direct kernel instead. Depends only on the
+/// shape and compile-time constants, never on the thread count.
+constexpr bool use_direct(std::int64_t m) { return m < kMR; }
+
+/// The packed BLIS path above, for any shape.
+void gemm_packed(const MatView& a, const MatView& b, float* c,
+                 std::int64_t ldc);
+
+/// The direct path: reads A and B through their strides with no packing,
+/// no zero padding, no workspace and no task dispatch, on the calling
+/// thread. Each C element is the packed path's arithmetic exactly — an
+/// ascending-kk float sum started at 0.f per KC panel, added into C once
+/// per panel — so both paths give bit-identical results on every shape.
+void gemm_direct(const MatView& a, const MatView& b, float* c,
+                 std::int64_t ldc);
 
 }  // namespace chiron::tensor::detail

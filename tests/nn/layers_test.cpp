@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "common/error.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/flatten.h"
 #include "nn/linear.h"
+#include "nn/models.h"
 #include "nn/pool.h"
 #include "nn/sequential.h"
 
@@ -209,6 +213,102 @@ TEST(Sequential, EmptyBackwardThrows) {
   Sequential net;
   Tensor g({1, 1});
   EXPECT_THROW(net.backward(g), InvariantError);
+}
+
+// Every element of a and b has the same bits (EXPECT_EQ on floats would
+// accept −0.f for +0.f).
+void expect_same_bits(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<std::size_t>(a.size()) * sizeof(float)),
+            0);
+}
+
+TEST(InferenceForward, BitIdenticalToTrainingForward) {
+  // An inference forward skips the backward cache; the outputs must not
+  // notice.
+  Rng rng(40);
+  Rng data_rng(41);
+  const Tensor x = Tensor::uniform({9, 6}, data_rng, -2.f, 2.f);
+  Linear lin(6, 4, rng);
+  expect_same_bits(lin.forward(x, false), lin.forward(x, true));
+  Tanh tanh_layer;
+  expect_same_bits(tanh_layer.forward(x, false), tanh_layer.forward(x, true));
+  auto mlp = make_tanh_mlp(6, 16, 3, rng);
+  expect_same_bits(mlp->forward(x, false), mlp->forward(x, true));
+}
+
+TEST(InferenceForward, BatchAcrossDirectGemmBoundaryMatchesSingles) {
+  // 40 rows run the packed GEMM, single rows the direct one: each row of
+  // the batched inference forward must equal its own batch-1 forward.
+  Rng rng(42);
+  auto mlp = make_tanh_mlp(12, 64, 5, rng);
+  Rng data_rng(43);
+  const Tensor x = Tensor::uniform({40, 12}, data_rng, -1.f, 1.f);
+  const Tensor batch = mlp->forward(x, false);
+  for (std::int64_t r = 0; r < x.dim(0); ++r) {
+    const Tensor single = mlp->forward(Tensor({1, 12}, x.row(r).vec()), false);
+    for (std::int64_t j = 0; j < 5; ++j)
+      EXPECT_EQ(batch.at2(r, j), single.at2(0, j)) << "row " << r;
+  }
+}
+
+// Runs f and expects the InvariantError of a backward with no training
+// forward before it.
+template <typename F>
+void expect_backward_before_forward(F f) {
+  try {
+    f();
+    ADD_FAILURE() << "backward did not throw";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("backward before forward"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(InferenceForward, BackwardAfterOnlyInferenceForwardsThrows) {
+  Rng rng(44);
+  const Tensor x({2, 3});
+  Linear lin(3, 2, rng);
+  lin.forward(x, false);
+  expect_backward_before_forward([&] { lin.backward(Tensor({2, 2})); });
+  Tanh tanh_layer;
+  tanh_layer.forward(x, false);
+  expect_backward_before_forward([&] { tanh_layer.backward(x); });
+  auto mlp = make_tanh_mlp(3, 8, 2, rng);
+  mlp->forward(x, false);
+  mlp->forward(x, false);
+  expect_backward_before_forward([&] { mlp->backward(Tensor({2, 2})); });
+}
+
+TEST(InferenceForward, InterleavedInferenceLeavesPendingBackwardUnchanged) {
+  // forward(train) → forward(infer, other input) → backward must give the
+  // gradients of forward(train) → backward.
+  Rng rng(45);
+  auto plain = make_tanh_mlp(5, 16, 3, rng);
+  Rng rng_copy(45);
+  auto interleaved = make_tanh_mlp(5, 16, 3, rng_copy);
+  Rng data_rng(46);
+  const Tensor x = Tensor::uniform({7, 5}, data_rng, -1.f, 1.f);
+  const Tensor other = Tensor::uniform({1, 5}, data_rng, -1.f, 1.f);
+  const Tensor g = Tensor::uniform({7, 3}, data_rng, -1.f, 1.f);
+
+  plain->zero_grad();
+  plain->forward(x, true);
+  const Tensor dx_plain = plain->backward(g);
+
+  interleaved->zero_grad();
+  interleaved->forward(x, true);
+  interleaved->forward(other, false);
+  const Tensor dx_interleaved = interleaved->backward(g);
+
+  expect_same_bits(dx_interleaved, dx_plain);
+  const auto pp = plain->params();
+  const auto pi = interleaved->params();
+  ASSERT_EQ(pp.size(), pi.size());
+  for (std::size_t i = 0; i < pp.size(); ++i)
+    expect_same_bits(pi[i]->grad, pp[i]->grad);
 }
 
 TEST(Sequential, AddNullThrows) {

@@ -1,11 +1,14 @@
 // The blocked packed GEMM (tensor/gemm.h) behind matmul/matmul_bt/
 // matmul_at: agreement with a naive double-accumulated reference on
 // ragged shapes (nothing divisible by MR/NR/KC/MC), degenerate m/n/k = 1
-// edges, bit-identity across thread counts, and storage reuse through the
-// `_into` variants.
+// edges, bit-identity across thread counts, storage reuse through the
+// `_into` variants, and bit-identity of the direct small-shape path with
+// the packed path.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -130,6 +133,74 @@ TEST(Gemm, IntoVariantsReuseStorageAndStayCorrect) {
   const Tensor first = matmul(big_a, big_b);
   matmul_into(big_a, big_b, out);
   for (std::int64_t i = 0; i < first.size(); ++i) ASSERT_EQ(out[i], first[i]);
+}
+
+// The bit pattern of a float, so that −0.f and +0.f compare unequal.
+std::uint32_t float_bits(float f) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+// Uniform values with every fifth entry an exact zero of alternating
+// sign, so some products are exactly −0.f and some C sums are all zeros.
+std::vector<float> signed_zero_mix(std::int64_t count, Rng& rng) {
+  std::vector<float> v(static_cast<std::size_t>(count));
+  for (std::int64_t i = 0; i < count; ++i) {
+    v[static_cast<std::size_t>(i)] =
+        i % 5 == 0 ? (i % 10 == 0 ? -0.f : 0.f)
+                   : static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return v;
+}
+
+TEST(Gemm, DirectPathBitEqualsPackedPath) {
+  // gemm_acc picks a path by shape alone, so batch-of-N and N singles can
+  // take different paths: the two must agree bit for bit (signed zeros
+  // included) on every shape and view, into a C that already holds
+  // values, at any thread count.
+  using detail::gemm_direct;
+  using detail::gemm_packed;
+  using detail::kKC;
+  using detail::kMR;
+  using detail::kNR;
+  using detail::MatView;
+  const std::int64_t ms[] = {1, kMR - 1, kMR, kMR + 1, 50};
+  const std::int64_t ns[] = {1, 5, kNR - 1, 64};
+  const std::int64_t ks[] = {1, 12, 64, kKC, kKC + 1};
+  enum class View { kRowMajor, kBt, kAt };
+  for (const int threads : {1, 8}) {
+    runtime::set_threads(threads);
+    for (const std::int64_t m : ms) {
+      for (const std::int64_t n : ns) {
+        for (const std::int64_t k : ks) {
+          Rng rng(static_cast<std::uint64_t>(m * 7919 + n * 131 + k));
+          // a and b hold the operands in whichever layout each view reads.
+          const std::vector<float> a = signed_zero_mix(m * k, rng);
+          const std::vector<float> b = signed_zero_mix(k * n, rng);
+          const std::vector<float> c0 = signed_zero_mix(m * n, rng);
+          for (const View view : {View::kRowMajor, View::kBt, View::kAt}) {
+            MatView av{a.data(), m, k, k, 1};
+            MatView bv{b.data(), k, n, n, 1};
+            if (view == View::kBt) bv = {b.data(), k, n, 1, k};
+            if (view == View::kAt) av = {a.data(), m, k, 1, m};
+            std::vector<float> direct = c0;
+            std::vector<float> packed = c0;
+            gemm_direct(av, bv, direct.data(), n);
+            gemm_packed(av, bv, packed.data(), n);
+            SCOPED_TRACE(testing::Message()
+                         << "threads=" << threads << " m=" << m << " n=" << n
+                         << " k=" << k << " view=" << static_cast<int>(view));
+            for (std::size_t i = 0; i < direct.size(); ++i)
+              EXPECT_EQ(float_bits(direct[i]), float_bits(packed[i]))
+                  << "element " << i << ": " << direct[i] << " vs "
+                  << packed[i];
+          }
+        }
+      }
+    }
+  }
+  runtime::set_threads(0);
 }
 
 TEST(Gemm, DenseNoLongerSkipsZeros) {

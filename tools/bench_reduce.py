@@ -23,6 +23,7 @@ Usage: bench_reduce.py [--adversary-tsv sweep.tsv] [--build-type T]
        <raw.json> [...] <baseline.json> <out.json>
 """
 import json
+import platform
 import sys
 
 # User counters worth keeping in the trajectory (throughput/latency of
@@ -46,6 +47,19 @@ SCALE_SCALED = "BM_FedRoundScaled/10000"
 # when the host has a single CPU and the two threads merely time-slice).
 PIPE_OFF = "BM_PipelinedRound/0/real_time"
 PIPE_ON = "BM_PipelinedRound/1/real_time"
+
+
+def cpu_model():
+    """The host's CPU model name, so a trajectory is never compared across
+    machines by core count alone."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
 
 
 def read_adversary_tsv(path):
@@ -149,6 +163,7 @@ def main() -> int:
             "date": context["date"],
             "host_name": context["host_name"],
             "num_cpus": context["num_cpus"],
+            "cpu_model": cpu_model(),
             "build_type": build_type,
         },
         "baseline_pre_pr": baseline,

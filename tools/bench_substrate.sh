@@ -20,7 +20,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-bench}"
 BUILD_TYPE="RelWithDebInfo"
-FILTER="${CHIRON_BENCH_FILTER:-BM_MatmulSquare|BM_Im2col|BM_MnistCnn|BM_ParallelRound|BM_PipelinedRound}"
+FILTER="${CHIRON_BENCH_FILTER:-BM_MatmulSquare|BM_Im2col|BM_MnistCnn|BM_PolicyAct|BM_PpoGemm|BM_ParallelRound|BM_PipelinedRound}"
 SERVE_FILTER="${CHIRON_SERVE_BENCH_FILTER:-BM_ServeLoad|BM_PriceBatch|BM_ServeKnee}"
 SCALE_FILTER="${CHIRON_SCALE_BENCH_FILTER:-BM_EconRound|BM_FedRound|BM_EnvStep}"
 ADV_EPISODES="${CHIRON_ADV_SWEEP_EPISODES:-120}"

@@ -41,6 +41,12 @@
 #                             1; any non-zero exit (a build break against
 #                             the library API or a failed output check)
 #                             fails the stage
+#  15. native-ISA bits      — a -DCHIRON_NATIVE=ON build (-march=native:
+#                             wider vectors, FMA contraction) running the
+#                             GEMM direct-vs-packed and batch ≡ singles
+#                             suites, so the direct small-shape path fails
+#                             loudly if its arithmetic ever drifts from the
+#                             micro-kernel's (DESIGN.md §5.7)
 #
 # Each stage prints a PASS/FAIL banner with its wall time, the first
 # failure stops the run, and either way a final summary table lists every
@@ -92,20 +98,38 @@ build_and_ctest() {
     --repeat until-fail:3
 }
 
-stage "1/14: chiron-lint (layering/locking/allocation contract)" tools/check_lint.sh
-stage "2/14: header self-containment" tools/check_headers.sh
-stage "3/14: build -Werror + full ctest" build_and_ctest
-stage "4/14: UndefinedBehaviorSanitizer" tools/check_ubsan.sh
-stage "5/14: ThreadSanitizer" tools/check_tsan.sh
-stage "6/14: AddressSanitizer" tools/check_asan.sh
-stage "7/14: clang-tidy" tools/check_tidy.sh
-stage "8/14: observability determinism (threads 1 vs 8 diff)" tools/check_obs.sh
-stage "9/14: serving determinism (serial vs parallel diff)" tools/check_serve.sh
-stage "10/14: adversary contract (zero-knob + thread diff + ASan)" tools/check_adversary.sh
-stage "11/14: scale contract (zero-knob + 10k thread diff + ASan)" tools/check_scale.sh
-stage "12/14: pipeline determinism (off vs on diff + TSan)" tools/check_pipeline.sh
-stage "13/14: substrate benchmarks -> BENCH_substrate.json" tools/bench_substrate.sh
-stage "14/14: perfbench (self-tests + every workload, trace 0 and 1)" tools/check_perfbench.sh
+# Stage 15: the bit-identity suites that cross the direct/packed GEMM
+# boundary, rebuilt for the host's own ISA.
+native_bit_identity() {
+  cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release -DCHIRON_NATIVE=ON \
+    -DCHIRON_WERROR=ON
+  cmake --build build-native -j"$(nproc)" \
+    --target test_tensor test_nn test_rl test_serve
+  build-native/tests/test_tensor \
+    --gtest_filter='Gemm.DirectPathBitEqualsPackedPath:Gemm.ThreadCountNeverChangesBits'
+  build-native/tests/test_nn \
+    --gtest_filter='InferenceForward.*'
+  build-native/tests/test_rl \
+    --gtest_filter='GaussianPolicy.MeanBatchRowsBitIdenticalToSingles:ValueNet.ValueBatchRowsBitIdenticalToSingles'
+  build-native/tests/test_serve \
+    --gtest_filter='ServeEngine.BatchBitIdenticalToSingles:MechanismServer.ResponsesByteIdenticalAcrossWorkerCounts'
+}
+
+stage "1/15: chiron-lint (layering/locking/allocation contract)" tools/check_lint.sh
+stage "2/15: header self-containment" tools/check_headers.sh
+stage "3/15: build -Werror + full ctest" build_and_ctest
+stage "4/15: UndefinedBehaviorSanitizer" tools/check_ubsan.sh
+stage "5/15: ThreadSanitizer" tools/check_tsan.sh
+stage "6/15: AddressSanitizer" tools/check_asan.sh
+stage "7/15: clang-tidy" tools/check_tidy.sh
+stage "8/15: observability determinism (threads 1 vs 8 diff)" tools/check_obs.sh
+stage "9/15: serving determinism (serial vs parallel diff)" tools/check_serve.sh
+stage "10/15: adversary contract (zero-knob + thread diff + ASan)" tools/check_adversary.sh
+stage "11/15: scale contract (zero-knob + 10k thread diff + ASan)" tools/check_scale.sh
+stage "12/15: pipeline determinism (off vs on diff + TSan)" tools/check_pipeline.sh
+stage "13/15: substrate benchmarks -> BENCH_substrate.json" tools/bench_substrate.sh
+stage "14/15: perfbench (self-tests + every workload, trace 0 and 1)" tools/check_perfbench.sh
+stage "15/15: native-ISA bit identity (direct vs packed GEMM, batch vs singles)" native_bit_identity
 
 print_summary
 echo
